@@ -267,16 +267,13 @@ def _cached_frame(spec: TruncationSpec, s: SParameter):
     return _frame_cache[key]
 
 
-def _oracle_agrees(s: SParameter, x: SymbolicSet, result: SymbolicSet, op: str, depth: int = 1) -> bool:
+def _oracle_agrees(s: SParameter, x: SymbolicSet, result: SymbolicSet, op: str) -> bool:
     """Compare a symbolic image/preimage against the truncation oracle on the
-    window shrunk by the operation depth."""
+    window shrunk by one step."""
     frame = _cached_frame(ORACLE_WINDOW, s)
-    inner = ORACLE_WINDOW.shrink(depth)
-    base = sym.restrict_to_window(x, ORACLE_WINDOW)
+    inner = ORACLE_WINDOW.shrink(1)
     fn = complex_f if op == "f" else complex_g
-    current = frozenset(base)
-    for _ in range(depth):
-        current = fn(frame, current)
+    current = fn(frame, sym.restrict_to_window(x, ORACLE_WINDOW))
     want = {v for v in current if inner.contains(v)}
     got = set(sym.restrict_to_window(result, inner))
     return got == want

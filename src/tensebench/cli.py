@@ -145,14 +145,14 @@ def _cmd_search(args) -> int:
     _echo(args, constraints=getattr(args, "constraints", None) or "none", emit=args.emit)
     if args.sub == "frames":
         report, frames = se.enumerate_total_frames(args.k, jobs=args.jobs)
-        print(report.to_records() if args.format == "records" else report.to_text(), end="")
+        print(report.to_records(), end="")
         if args.emit == "frames":
             for frame in frames:
                 print(frame_to_text(frame), end="")
     else:
         constraints = tuple(c for c in (args.constraints or "").split(",") if c)
         report, structures = se.enumerate_atom_structures(args.k, constraints, jobs=args.jobs)
-        print(report.to_records() if args.format == "records" else report.to_text(), end="")
+        print(report.to_records(), end="")
         if args.emit == "structures":
             for structure in structures:
                 print(structure.to_text(), end="")

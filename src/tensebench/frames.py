@@ -10,7 +10,7 @@ structure the symbolic engine exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .sparam import SParameter
 
@@ -21,14 +21,19 @@ class CapacityError(Exception):
     """A requested construction exceeds the configured size budget."""
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _transpose(masks: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(masks)
     for i, mask in enumerate(masks):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out[low.bit_length() - 1] |= 1 << i
-            rest ^= low
+        for j in iter_bits(mask):
+            out[j] |= 1 << i
     return tuple(out)
 
 
@@ -148,12 +153,7 @@ class Frame:
         return mask
 
     def _unmask(self, mask: int) -> tuple[VertexId, ...]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self._vertices[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+        return tuple(self._vertices[i] for i in iter_bits(mask))
 
     def image_mask(self, mask: int) -> int:
         out = 0
@@ -337,9 +337,10 @@ def frame_to_text(frame: Frame) -> str:
 def parse_frame(text: str) -> Frame:
     """Parse the frame file format; rejects duplicates and non-canonical order."""
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("frame "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "frame":
         raise ValueError("missing 'frame <count>' header")
-    count = int(lines[0].split()[1])
+    count = int(header[1])
     vertices: list[VertexId] = []
     edges: list[tuple[int, int]] = []
     for line in lines[1:]:

@@ -59,6 +59,10 @@ class AtomStructure:
         return "\n".join(lines) + "\n"
 
 
+# numbers that follow each keyword of the atom-structure format
+_LINE_ARITY = {"atoms": 1, "conv": 2, "id": 1, "cycle": 3}
+
+
 def parse_atom_structure(text: str) -> AtomStructure:
     count = None
     conv: dict[int, int] = {}
@@ -68,18 +72,22 @@ def parse_atom_structure(text: str) -> AtomStructure:
         fields = line.split()
         if not fields:
             continue
+        arity = _LINE_ARITY.get(fields[0])
+        if arity is None:
+            raise ValueError(f"unrecognized line: {line!r}")
+        if len(fields) != arity + 1:
+            raise ValueError(f"'{fields[0]}' takes {arity} numbers: {line!r}")
+        values = [int(field) for field in fields[1:]]
         if fields[0] == "atoms":
-            count = int(fields[1])
+            count = values[0]
         elif fields[0] == "conv":
-            i, j = int(fields[1]), int(fields[2])
+            i, j = values
             conv[i] = j
             conv[j] = i
         elif fields[0] == "id":
-            identity.add(int(fields[1]))
-        elif fields[0] == "cycle":
-            cycles.add((int(fields[1]), int(fields[2]), int(fields[3])))
+            identity.add(values[0])
         else:
-            raise ValueError(f"unrecognized line: {line!r}")
+            cycles.add(tuple(values))
     if count is None:
         raise ValueError("missing 'atoms <count>' line")
     converse = tuple(conv.get(a, a) for a in range(count))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import relalg
 from .audit import parallel_map
-from .frames import CapacityError, Frame, FiniteTenseAlgebra, VertexId, as_finite_algebra
+from .frames import CapacityError, Frame, FiniteTenseAlgebra, VertexId
 from .relalg import AtomStructure
 
 MAX_FRAME_SIZE = 5
@@ -44,9 +44,6 @@ class SearchReport:
         for rep in self.representatives:
             lines.append(f"rep {rep}")
         return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        return self.to_records()
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +345,3 @@ def enumerate_atom_structures(
         "structures", k, tuple(constraints), raw, len(keys), tuple(keys), elapsed
     )
     return report, [found[key] for key in keys]
-
-
-def frame_algebras(frames: list[Frame]) -> list[FiniteTenseAlgebra]:
-    return [as_finite_algebra(frame) for frame in frames]

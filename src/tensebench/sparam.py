@@ -56,6 +56,14 @@ class SParameter:
             return False
         return n % 2 == 0 or self.contains(n)
 
+    def pattern_mask(self, k: int) -> int:
+        """The pattern indices below k as a mask: bit n set iff in_pattern(n)."""
+        evens = _every_other((k - 1) // 2) << 2
+        odds = sum(1 << n for n in self.explicit if n < k)
+        if self.tail_in:
+            odds |= _every_other((k - self.bound - 1) // 2) << (self.bound + 2)
+        return evens | odds
+
     @property
     def stable_from(self) -> int:
         """Index from which pattern membership is decided by parity + tail."""
@@ -107,6 +115,11 @@ class SParameter:
         members = ",".join(str(n) for n in sorted(self.explicit))
         tail = "in" if self.tail_in else "out"
         return f"{{{members}}} tail={tail} bound={self.bound}"
+
+
+def _every_other(count: int) -> int:
+    """Bits 0, 2, ..., 2(count - 1); no bits when count <= 0."""
+    return ((1 << 2 * count) - 1) // 3 if count > 0 else 0
 
 
 S_EMPTY = SParameter(frozenset(), 3, False)

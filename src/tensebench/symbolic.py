@@ -17,10 +17,11 @@ module compares both against the finite truncation oracle.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
-from .frames import TruncationSpec, VertexId
+from .frames import TruncationSpec, VertexId, iter_bits
 from .sparam import SParameter
 
 # ---------------------------------------------------------------------------
@@ -31,90 +32,87 @@ from .sparam import SParameter
 class Row:
     """Canonical description of one level's index set.
 
-    Denotes ``prefix`` together with, from ``start`` on, all pattern indices
-    (if ``pat_tail``) and all off-pattern indices (if ``off_tail``).
-    Canonical form: prefix is a subset of [1, start); start is minimal;
-    ``off_tail`` is set only when the off-pattern tail is infinite.
+    Denotes the indices whose bits are set in the int mask ``prefix`` (bit n
+    for index n) together with, from ``start`` on, all pattern indices (if
+    ``pat_tail``) and all off-pattern indices (if ``off_tail``).  Canonical
+    form: prefix has bits only in [1, start); start is minimal; ``off_tail``
+    is set only when the off-pattern tail is infinite.
     """
 
-    prefix: frozenset[int]
+    prefix: int
     start: int
     pat_tail: bool
     off_tail: bool
 
 
-EMPTY_ROW = Row(frozenset(), 1, False, False)
-FULL_ROW = Row(frozenset(), 1, True, True)
+EMPTY_ROW = Row(0, 1, False, False)
+FULL_ROW = Row(0, 1, True, True)
 
 
-def make_row(s: SParameter, members: set[int], base: int, pat_tail: bool, off_tail: bool) -> Row:
+def _tails(pat: int, pat_tail: bool, off_tail: bool) -> int:
+    """The selected tails as an unbounded mask, given the pattern mask."""
+    return (pat if pat_tail else 0) | (~pat if off_tail else 0)
+
+
+def make_row(s: SParameter, members: int, base: int, pat_tail: bool, off_tail: bool) -> Row:
     """Canonicalize a loose row description.
 
-    Semantics of the input: ``members`` plus the selected tails from
-    ``base`` on.  ``members`` may contain indices at or above ``base``.
+    Semantics of the input: the indices set in the mask ``members`` (bit n
+    for index n >= 1) plus the selected tails from ``base`` on.  ``members``
+    may have bits at or above ``base``.
 
     When the parameter's off-pattern class is finite (all-in tail), the only
     canonical tail forms are (False, False) and (True, True): a pattern tail
     is then cofinite, so it is stored as a full tail with the finitely many
     missing indices pushed into the prefix region.
+
+    From the horizon on (``base``, ``stable_from`` and every member lie
+    below it) the input agrees with the canonical tails, so ``start`` is one
+    above the highest index where the explicit bits below the horizon
+    differ from them.
     """
     base = max(base, 1)
-    members = {n for n in members if n >= 1}
-
-    def mem(n: int) -> bool:
-        if n in members:
-            return True
-        if n < base:
-            return False
-        return pat_tail if s.in_pattern(n) else off_tail
-
-    horizon = max([base, s.stable_from] + [n + 1 for n in members])
-    if not s.off_pattern_infinite():
-        out_pat, out_off = (pat_tail, pat_tail)  # cofinite iff the pattern tail is on
-    else:
-        out_pat, out_off = pat_tail, off_tail
-    explicit = {n for n in range(1, horizon) if mem(n)}
-    start = horizon
-    while start > 1:
-        n = start - 1
-        expected = out_pat if s.in_pattern(n) else out_off
-        if (n in explicit) != expected:
-            break
-        explicit.discard(n)
-        start -= 1
-    return Row(frozenset(explicit), start, out_pat, out_off)
+    out_off = off_tail if s.off_pattern_infinite() else pat_tail
+    horizon = max(base, s.stable_from, members.bit_length())
+    below = (1 << horizon) - 1
+    pat = s.pattern_mask(horizon)
+    explicit = members | (_tails(pat, pat_tail, off_tail) & (below >> base << base))
+    canonical = _tails(pat, pat_tail, out_off) & (below ^ 1)
+    start = max((explicit ^ canonical).bit_length(), 1)
+    return Row(explicit & ((1 << start) - 1), start, pat_tail, out_off)
 
 
 def row_contains(s: SParameter, r: Row, n: int) -> bool:
     if n < 1:
         return False
     if n < r.start:
-        return n in r.prefix
+        return bool(r.prefix >> n & 1)
     return r.pat_tail if s.in_pattern(n) else r.off_tail
 
 
-def row_members_below(s: SParameter, r: Row, k: int) -> set[int]:
-    return {n for n in range(1, k) if row_contains(s, r, n)}
+def _row_bits(s: SParameter, r: Row, k: int) -> int:
+    """The members of r below k, as a mask."""
+    below = (1 << k) - 1
+    tails = _tails(s.pattern_mask(k), r.pat_tail, r.off_tail) & (below >> r.start << r.start)
+    return (r.prefix & below) | tails
 
 
 def _row_binary(s: SParameter, a: Row, b: Row, op) -> Row:
     base = max(a.start, b.start)
-    ma = row_members_below(s, a, base)
-    mb = row_members_below(s, b, base)
-    members = {n for n in range(1, base) if op(n in ma, n in mb)}
+    members = op(_row_bits(s, a, base), _row_bits(s, b, base))
     return make_row(s, members, base, op(a.pat_tail, b.pat_tail), op(a.off_tail, b.off_tail))
 
 
 def row_union(s, a, b):
-    return _row_binary(s, a, b, lambda x, y: x or y)
+    return _row_binary(s, a, b, operator.or_)
 
 
 def row_intersect(s, a, b):
-    return _row_binary(s, a, b, lambda x, y: x and y)
+    return _row_binary(s, a, b, operator.and_)
 
 
 def row_complement(s: SParameter, r: Row) -> Row:
-    members = {n for n in range(1, r.start) if n not in r.prefix}
+    members = r.prefix ^ ((1 << r.start) - 2)
     return make_row(s, members, r.start, not r.pat_tail, not r.off_tail)
 
 
@@ -124,13 +122,13 @@ def row_is_infinite(r: Row) -> bool:
 
 def row_count(r: Row) -> int | None:
     """Number of members, or None when infinite."""
-    return None if row_is_infinite(r) else len(r.prefix)
+    return None if row_is_infinite(r) else r.prefix.bit_count()
 
 
 def row_min(s: SParameter, r: Row) -> int | None:
-    candidates = []
     if r.prefix:
-        candidates.append(min(r.prefix))
+        return (r.prefix & -r.prefix).bit_length() - 1
+    candidates = []
     if r.pat_tail:
         candidates.append(s.pattern_min(r.start))
     if r.off_tail:
@@ -140,31 +138,23 @@ def row_min(s: SParameter, r: Row) -> int | None:
     return min(candidates) if candidates else None
 
 
-def row_max(s: SParameter, r: Row) -> int | None:
-    """Greatest member for finite rows; None means unbounded (or use row_count
-    to distinguish the empty row)."""
-    if row_is_infinite(r):
-        return None
-    return max(r.prefix) if r.prefix else None
-
-
 def row_meets_pattern(s: SParameter, r: Row) -> bool:
     """Whether the row contains some pattern index."""
-    return r.pat_tail or any(s.in_pattern(n) for n in r.prefix)
+    return r.pat_tail or bool(r.prefix & s.pattern_mask(r.start))
 
 
 def pattern_row(s: SParameter, start: int = 1) -> Row:
-    return make_row(s, set(), start, True, False)
+    return make_row(s, 0, start, True, False)
 
 
 def off_pattern_row(s: SParameter, start: int) -> Row:
     """Off-pattern indices >= max(start, 2); may canonicalize to empty."""
-    return make_row(s, set(), max(start, 2), False, True)
+    return make_row(s, 0, max(start, 2), False, True)
 
 
 def tail_row(s: SParameter, start: int) -> Row:
     """All indices >= start."""
-    return make_row(s, set(), max(start, 1), True, True)
+    return make_row(s, 0, max(start, 1), True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +307,7 @@ class BasisSet:
 def basis(s: SParameter, b: BasisSet) -> SymbolicSet:
     p, m = b.level, b.index
     if b.kind == "A":
-        return _make_set(s, False, False, p, [make_row(s, {m}, m + 1, False, False)])
+        return _make_set(s, False, False, p, [make_row(s, 1 << m, m + 1, False, False)])
     if b.kind == "S":
         return _make_set(s, False, False, p, [pattern_row(s, m)])
     if b.kind == "Sbar":
@@ -370,8 +360,8 @@ def _f_row_image(s: SParameter, r: Row) -> Row:
         return EMPTY_ROW
     if row_is_infinite(r):
         return FULL_ROW
-    top = max(r.prefix)
-    return make_row(s, set(range(1, top + 2)), top + 2, False, False)
+    top = r.prefix.bit_length() - 1
+    return make_row(s, (1 << (top + 2)) - 2, top + 2, False, False)
 
 
 def _g_row_image(s: SParameter, r: Row) -> Row:
@@ -406,9 +396,9 @@ def apply_g(x: SymbolicSet) -> SymbolicSet:
     low = x.row_at(low_level)
     out_low = _g_row_image(s, low)
     if row_meets_pattern(s, x.row_at(low_level + 1)):
-        out_low = row_union(s, out_low, make_row(s, {1}, 2, False, False))
+        out_low = row_union(s, out_low, make_row(s, 0b10, 2, False, False))
     out_below = (
-        make_row(s, {1}, 2, False, False) if row_meets_pattern(s, low) else EMPTY_ROW
+        make_row(s, 0b10, 2, False, False) if row_meets_pattern(s, low) else EMPTY_ROW
     )
     return _make_set(s, False, True, low_level - 1, [out_below, out_low])
 
@@ -433,7 +423,7 @@ def decompose_to_basis(x: SymbolicSet) -> tuple[BasisSet, ...]:
         parts.append(BasisSet("D", x.anchor - 1))
     for offset, row in enumerate(x.rows):
         p = x.anchor + offset
-        for n in sorted(row.prefix):
+        for n in iter_bits(row.prefix):
             parts.append(BasisSet("A", p, n))
         if row.pat_tail and row.off_tail:
             if row.start == 1:
@@ -612,10 +602,8 @@ def restrict_to_window(x: SymbolicSet, spec: TruncationSpec) -> tuple[VertexId, 
     """Members inside the window, in canonical order."""
     out = []
     for p in range(spec.level_lo, spec.level_hi + 1):
-        row = x.row_at(p)
-        for n in range(1, spec.index_max + 1):
-            if row_contains(x.sparam, row, n):
-                out.append(VertexId(p, n))
+        bits = _row_bits(x.sparam, x.row_at(p), spec.index_max + 1)
+        out.extend(VertexId(p, n) for n in iter_bits(bits))
     return tuple(out)
 
 
@@ -665,13 +653,13 @@ def validate_canonical(x: SymbolicSet) -> bool:
     elif x.below_full == x.above_full and x.anchor != 0:
         raise ValueError("constant set must have anchor 0")
     for row in x.rows:
-        if any(n >= row.start or n < 1 for n in row.prefix):
+        if row.prefix >> row.start or row.prefix & 1:
             raise ValueError("row prefix outside [1, start)")
         if row.off_tail and not row.pat_tail and not s.off_pattern_infinite():
             raise ValueError("off-pattern tail flag on a finite tail")
         if row.pat_tail != row.off_tail and not s.off_pattern_infinite():
             raise ValueError("mixed tail flags under a finite off-pattern")
-        redone = make_row(s, set(row.prefix), row.start, row.pat_tail, row.off_tail)
+        redone = make_row(s, row.prefix, row.start, row.pat_tail, row.off_tail)
         if redone != row:
             raise ValueError(f"row not canonical: {row} vs {redone}")
     return True

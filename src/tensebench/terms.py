@@ -162,33 +162,6 @@ def nu(n: int, var: str = "x") -> Term:
     return prev1
 
 
-def substitute(t: Term, env: dict[str, Term]) -> Term:
-    """Simultaneous substitution of terms for variables."""
-    cache: dict[int, Term] = {}
-
-    def go(node: Term) -> Term:
-        if id(node) in cache:
-            return cache[id(node)]
-        if isinstance(node, Var):
-            out = env.get(node.name, node)
-        elif isinstance(node, Join):
-            out = Join(go(node.left), go(node.right))
-        elif isinstance(node, Meet):
-            out = Meet(go(node.left), go(node.right))
-        elif isinstance(node, Not):
-            out = Not(go(node.arg))
-        elif isinstance(node, Fop):
-            out = Fop(go(node.arg))
-        elif isinstance(node, Gop):
-            out = Gop(go(node.arg))
-        else:
-            out = node
-        cache[id(node)] = out
-        return out
-
-    return go(t)
-
-
 # ---------------------------------------------------------------------------
 # carriers
 
@@ -458,41 +431,47 @@ def tau(n: int, var: str = "x") -> Formula:
 def eval_formula(fm: Formula, handle, env: dict) -> bool:
     """Exact truth value.
 
-    Finite carriers evaluate quantifiers by enumeration (atom-relativized or
-    unrestricted).  The symbolic carrier decides the atom-relativized shapes
-    through the cardinality classifier and rejects anything else.
+    The propositional cases are the same on every carrier; only quantifiers
+    depend on it.  Finite carriers evaluate them by enumeration
+    (atom-relativized or unrestricted).  The symbolic carrier decides the
+    atom-relativized shapes through the cardinality classifier and rejects
+    anything else.
     """
-    if handle.kind == "finite":
-        return _eval_enum(fm, handle, env)
-    return _eval_patterns(fm, handle, env)
+    quantifier = _enumerate if handle.kind == "finite" else _classify
+
+    def go(fm: Formula, env: dict) -> bool:
+        if isinstance(fm, Eq):
+            return handle.eq(eval_term(fm.left, handle, env), eval_term(fm.right, handle, env))
+        if isinstance(fm, Neq):
+            return not handle.eq(eval_term(fm.left, handle, env), eval_term(fm.right, handle, env))
+        if isinstance(fm, And):
+            return go(fm.left, env) and go(fm.right, env)
+        if isinstance(fm, Or):
+            return go(fm.left, env) or go(fm.right, env)
+        if isinstance(fm, NotF):
+            return not go(fm.arg, env)
+        if isinstance(fm, (ExistsAtoms, Exists, ForallAtoms, Forall)):
+            return quantifier(fm, handle, env, go)
+        raise TypeError(f"unknown formula node {fm!r}")
+
+    return go(fm, env)
 
 
-def _eval_enum(fm: Formula, handle, env: dict) -> bool:
-    if isinstance(fm, Eq):
-        return handle.eq(eval_term(fm.left, handle, env), eval_term(fm.right, handle, env))
-    if isinstance(fm, Neq):
-        return not handle.eq(eval_term(fm.left, handle, env), eval_term(fm.right, handle, env))
-    if isinstance(fm, And):
-        return _eval_enum(fm.left, handle, env) and _eval_enum(fm.right, handle, env)
-    if isinstance(fm, Or):
-        return _eval_enum(fm.left, handle, env) or _eval_enum(fm.right, handle, env)
-    if isinstance(fm, NotF):
-        return not _eval_enum(fm.arg, handle, env)
-    if isinstance(fm, (ExistsAtoms, Exists, ForallAtoms, Forall)):
-        domain = handle.atoms() if isinstance(fm, (ExistsAtoms, ForallAtoms)) else handle.elements()
-        existential = isinstance(fm, (ExistsAtoms, Exists))
-        name, rest = fm.names[0], fm.names[1:]
-        inner = type(fm)(rest, fm.body) if rest else fm.body
-        for value in domain:
-            sub = dict(env)
-            sub[name] = value
-            result = _eval_enum(inner, handle, sub)
-            if existential and result:
-                return True
-            if not existential and not result:
-                return False
-        return not existential
-    raise TypeError(f"unknown formula node {fm!r}")
+def _enumerate(fm: Formula, handle, env: dict, go) -> bool:
+    """A quantifier over a finite carrier, one name at a time."""
+    domain = handle.atoms() if isinstance(fm, (ExistsAtoms, ForallAtoms)) else handle.elements()
+    existential = isinstance(fm, (ExistsAtoms, Exists))
+    name, rest = fm.names[0], fm.names[1:]
+    inner = type(fm)(rest, fm.body) if rest else fm.body
+    for value in domain:
+        sub = dict(env)
+        sub[name] = value
+        result = go(inner, sub)
+        if existential and result:
+            return True
+        if not existential and not result:
+            return False
+    return not existential
 
 
 def _join_leaves(t: Term) -> list[Term] | None:
@@ -556,18 +535,9 @@ def _match_atomhood(body: Formula, name: str) -> Term | None:
     return None
 
 
-def _eval_patterns(fm: Formula, handle, env: dict) -> bool:
-    """Decide atom-relativized shapes through the cardinality classifier."""
-    if isinstance(fm, Eq):
-        return handle.eq(eval_term(fm.left, handle, env), eval_term(fm.right, handle, env))
-    if isinstance(fm, Neq):
-        return not handle.eq(eval_term(fm.left, handle, env), eval_term(fm.right, handle, env))
-    if isinstance(fm, And):
-        return _eval_patterns(fm.left, handle, env) and _eval_patterns(fm.right, handle, env)
-    if isinstance(fm, Or):
-        return _eval_patterns(fm.left, handle, env) or _eval_patterns(fm.right, handle, env)
-    if isinstance(fm, NotF):
-        return not _eval_patterns(fm.arg, handle, env)
+def _classify(fm: Formula, handle, env: dict, go) -> bool:
+    """Decide an atom-relativized shape on the symbolic carrier through the
+    cardinality classifier."""
     if isinstance(fm, ExistsAtoms):
         if isinstance(fm.body, Eq):
             subject = _match_join_of_atoms(fm.body, fm.names)
@@ -586,9 +556,7 @@ def _eval_patterns(fm: Formula, handle, env: dict) -> bool:
         raise UnsupportedQueryError(
             "universal over atoms is only decidable for the atomhood shape"
         )
-    if isinstance(fm, (Exists, Forall)):
-        raise UnsupportedQueryError("unrestricted quantifier on an infinite carrier")
-    raise TypeError(f"unknown formula node {fm!r}")
+    raise UnsupportedQueryError("unrestricted quantifier on an infinite carrier")
 
 
 # ---------------------------------------------------------------------------

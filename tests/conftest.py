@@ -34,13 +34,13 @@ def raw_basis_member(s, b: sym.BasisSet, v: VertexId) -> bool:
     return v.level >= b.level  # U
 
 
-def random_element(rng: random.Random, s, max_parts: int = 6):
+def random_element(rng: random.Random, s, max_parts: int = 6, max_index: int = 12):
     """Union of up to max_parts random basis sets, returned with its parts."""
     parts = []
     for _ in range(rng.randint(0, max_parts)):
         kind = rng.choice(["A", "A", "S", "Sbar", "V", "D", "U"])
         level = rng.randint(-3, 3)
-        index = rng.randint(1, 12) if kind in ("A", "S", "Sbar") else None
+        index = rng.randint(1, max_index) if kind in ("A", "S", "Sbar") else None
         parts.append(sym.BasisSet(kind, level, index))
     out = sym.empty_set(s)
     for b in parts:

@@ -162,6 +162,30 @@ class TestRelalg:
         assert "distinct=no" in out  # meet is associative
 
 
+# Lines with too few fields, one file per case.
+SHORT_LINES = [
+    ("relalg", "axioms", "atoms\n"),
+    ("relalg", "expand", "atoms 2\nconv 1\n"),
+    ("relalg", "minsub", "atoms 2\ncycle 0 0\n"),
+    ("relalg", "axioms", "atoms 2\nid\n"),
+    ("frame", "check", "frame \n"),
+]
+
+
+@pytest.mark.parametrize("command, sub, text", SHORT_LINES,
+                         ids=[text.splitlines()[-1].strip() for _, _, text in SHORT_LINES])
+def test_short_lines_give_a_message(capsys, tmp_path, command, sub, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, command, sub, "--in", str(path))
+    if command == "frame":
+        assert code == 1
+        assert out.splitlines()[-1].startswith("invalid:")
+    else:
+        assert code == 2
+        assert err.startswith("error:")
+
+
 class TestUsageErrors:
     def test_subcommand_help(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
