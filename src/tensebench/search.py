@@ -3,10 +3,12 @@ complex algebras and minimality classification, and small relation-type atom
 structures.
 
 Canonical labeling is by the lexicographically least adjacency matrix (or
-serialized structure) over all vertex/atom permutations; at these sizes the
-permutation count is tiny and nothing cleverer is warranted.  Work items are
-independent, results are merged by canonical key, and reports are identical
-across worker counts.
+serialized structure) over all vertex/atom permutations.  The frame search
+labels each isomorphism orbit once: a code's images under every permutation
+are marked visited, so the other codes of its orbit are skipped (the
+simplest case of McKay's isomorph-free generation, J. Algorithms 26, 1998).
+Work items are independent, results are merged by canonical key in
+enumeration order, and reports are identical across worker counts.
 """
 
 from __future__ import annotations
@@ -50,52 +52,68 @@ class SearchReport:
 # total frames up to isomorphism
 
 
-def _matrix_bits(adj: tuple[tuple[bool, ...], ...]) -> int:
-    k = len(adj)
-    bits = 0
-    pos = 0
-    for i in range(k):
-        for j in range(k):
-            if adj[i][j]:
-                bits |= 1 << pos
-            pos += 1
-    return bits
+def _code_maps(k: int) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+    """For each vertex permutation and each vertex pair, the contribution of
+    the pair's three choices to the image's (code, matrix bits).
 
-
-def _canonical_matrix(adj: tuple[tuple[bool, ...], ...]) -> int:
-    k = len(adj)
-    best = None
-    for perm in itertools.permutations(range(k)):
-        bits = 0
-        pos = 0
-        for i in range(k):
-            for j in range(k):
-                if adj[perm[i]][perm[j]]:
-                    bits |= 1 << pos
-                pos += 1
-        if best is None or bits < best:
-            best = bits
-    return best
-
-
-def _total_frame_chunk(args) -> list[tuple[int, int]]:
-    """Enumerate a slice of the choice space; returns (canonical, raw) keys."""
-    k, lo, hi = args
+    A code has one base-3 digit per pair i < j: 0 for i->j, 1 for j->i, 2 for
+    both.  Matrix bit i*k + j is the edge i->j; the loops are left out here.
+    """
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    out = []
-    for code in range(lo, hi):
-        adj = [[i == j for j in range(k)] for i in range(k)]
-        rest = code
+    slot = {pair: p for p, pair in enumerate(pairs)}
+    maps = []
+    for perm in itertools.permutations(range(k)):
+        per_pair = []
         for (i, j) in pairs:
-            choice = rest % 3
+            # the edges i->j and j->i of the code become a->b and b->a
+            a, b = perm[i], perm[j]
+            lo, hi = min(a, b), max(a, b)
+            weight = 3 ** slot[(lo, hi)]
+            up, down = 1 << (lo * k + hi), 1 << (hi * k + lo)
+            if a < b:
+                choices = ((0, up), (weight, down), (2 * weight, up | down))
+            else:
+                choices = ((weight, down), (0, up), (2 * weight, up | down))
+            per_pair.append(choices)
+        maps.append(tuple(per_pair))
+    return maps
+
+
+def _total_frame_chunk(args) -> tuple[int, set[int]]:
+    """Label the orbits of the codes in [lo, hi) once each; returns the raw
+    count and the canonical keys (least adjacency matrix over all relabelings).
+
+    Total frames are closed under relabeling, so every image of a code is a
+    code of the space, and all of an orbit's codes are marked when its first
+    code in the slice is met.
+    """
+    k, lo, hi = args
+    pair_count = k * (k - 1) // 2
+    loops = sum(1 << (i * k + i) for i in range(k))
+    maps = _code_maps(k)
+    visited = bytearray(3 ** pair_count)
+    keys = set()
+    for code in range(lo, hi):
+        if visited[code]:
+            continue
+        digits = []
+        rest = code
+        for _ in range(pair_count):
+            digits.append(rest % 3)
             rest //= 3
-            if choice in (0, 2):
-                adj[i][j] = True
-            if choice in (1, 2):
-                adj[j][i] = True
-        matrix = tuple(tuple(row) for row in adj)
-        out.append((_canonical_matrix(matrix), _matrix_bits(matrix)))
-    return out
+        best = None
+        for per_pair in maps:
+            image = 0
+            bits = loops
+            for choices, digit in zip(per_pair, digits):
+                step, edges = choices[digit]
+                image += step
+                bits |= edges
+            visited[image] = 1
+            if best is None or bits < best:
+                best = bits
+        keys.add(best)
+    return hi - lo, keys
 
 
 def _frame_from_bits(k: int, bits: int) -> Frame:
@@ -117,17 +135,14 @@ def enumerate_total_frames(k: int, jobs: int = 1) -> tuple[SearchReport, list[Fr
     start = time.perf_counter()
     pair_count = k * (k - 1) // 2
     space = 3 ** pair_count
-    chunk = max(1, space // max(jobs * 4, 1))
+    chunk = -(-space // max(jobs, 1))
     items = [(k, lo, min(lo + chunk, space)) for lo in range(0, space, chunk)]
-    results = parallel_map(_total_frame_chunk, items, jobs)
-    canon_to_bits: dict[int, int] = {}
     raw = 0
-    for block in results:
-        for canonical, bits in block:
-            raw += 1
-            if canonical not in canon_to_bits:
-                canon_to_bits[canonical] = canonical
-    keys = sorted(canon_to_bits)
+    found: set[int] = set()
+    for count, keys in parallel_map(_total_frame_chunk, items, jobs):
+        raw += count
+        found |= keys
+    keys = sorted(found)
     frames = [_frame_from_bits(k, bits) for bits in keys]
     elapsed = (time.perf_counter() - start) * 1000
     report = SearchReport(
@@ -289,12 +304,38 @@ _CONSTRAINT_NAMES = {
 }
 
 
-def _passes(report: relalg.AxiomReport, constraints: tuple[str, ...]) -> bool:
+def _constraint_fields(constraints: tuple[str, ...]) -> tuple[str, ...]:
+    """The `AxiomReport` field of each constraint, named short or long."""
+    fields = []
     for name in constraints:
-        attr = _CONSTRAINT_NAMES.get(name, name)
-        if not getattr(report, attr):
-            return False
-    return True
+        if name in _CONSTRAINT_NAMES:
+            fields.append(_CONSTRAINT_NAMES[name])
+        elif name in _CONSTRAINT_NAMES.values():
+            fields.append(name)
+        else:
+            known = ",".join(_CONSTRAINT_NAMES)
+            raise ValueError(f"unknown constraint {name!r} (expected some of {known})")
+    return tuple(fields)
+
+
+def _structure_chunk(args) -> tuple[int, dict[str, AtomStructure]]:
+    """Check the structures of one converse whose orbit masks lie in [lo, hi);
+    returns the raw count and, in enumeration order, the first passing
+    structure of each canonical key."""
+    k, conv, orbits, lo, hi, fields = args
+    forced = _forced_cycles(k, conv)
+    found: dict[str, AtomStructure] = {}
+    for mask in range(lo, hi):
+        cycles = set(forced)
+        for i, orbit in enumerate(orbits):
+            if mask >> i & 1:
+                cycles |= orbit
+        structure = AtomStructure(k, conv, frozenset({0}), frozenset(cycles))
+        report = relalg.check_axioms(relalg.expand(structure), structure)
+        if not all(getattr(report, name) for name in fields):
+            continue
+        found.setdefault(_canonical_structure(structure), structure)
+    return hi - lo, found
 
 
 def enumerate_atom_structures(
@@ -306,17 +347,15 @@ def enumerate_atom_structures(
         raise CapacityError(
             f"structure enumeration supports 1 <= k <= {MAX_STRUCTURE_ATOMS}"
         )
+    fields = _constraint_fields(constraints)
     start = time.perf_counter()
     diversity = tuple(range(1, k))
-    symmetric = "sym" in constraints or "symmetric" in constraints
     conv_choices = (
-        [{a: a for a in diversity}] if symmetric else _involutions(diversity)
+        [{a: a for a in diversity}] if "symmetric" in fields else _involutions(diversity)
     )
-    raw = 0
-    found: dict[str, AtomStructure] = {}
+    items = []
     for conv_map in conv_choices:
-        conv = tuple([0] + [conv_map[a] for a in diversity]) if k > 1 else (0,)
-        forced = _forced_cycles(k, conv)
+        conv = tuple([0] + [conv_map[a] for a in diversity])
         orbits = []
         seen = set()
         for triple in itertools.product(diversity, repeat=3):
@@ -325,20 +364,16 @@ def enumerate_atom_structures(
             orbit = _orbit(triple, conv)
             seen |= orbit
             orbits.append(orbit)
-        for mask in range(1 << len(orbits)):
-            cycles = set(forced)
-            for i, orbit in enumerate(orbits):
-                if mask >> i & 1:
-                    cycles |= orbit
-            raw += 1
-            structure = AtomStructure(k, conv, frozenset({0}), frozenset(cycles))
-            alg = relalg.expand(structure)
-            report = relalg.check_axioms(alg, structure)
-            if not _passes(report, constraints):
-                continue
-            key = _canonical_structure(structure)
-            if key not in found:
-                found[key] = structure
+        space = 1 << len(orbits)
+        chunk = -(-space // max(jobs, 1))
+        items += [(k, conv, orbits, lo, min(lo + chunk, space), fields)
+                  for lo in range(0, space, chunk)]
+    raw = 0
+    found: dict[str, AtomStructure] = {}
+    for count, chunk_found in parallel_map(_structure_chunk, items, jobs):
+        raw += count
+        for key, structure in chunk_found.items():
+            found.setdefault(key, structure)
     keys = sorted(found)
     elapsed = (time.perf_counter() - start) * 1000
     report = SearchReport(

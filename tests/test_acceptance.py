@@ -213,6 +213,12 @@ def test_criterion_9_minimal_relation_algebras():
 
 def test_criterion_10_search():
     with criterion(10, "frame enumeration counts, parallel determinism, discriminator checks"):
+        started = time.perf_counter()
+        report5, _ = se.enumerate_total_frames(5)
+        report_sa, _ = se.enumerate_atom_structures(4, ("sym", "sa"))
+        assert (report5.raw_count, report5.iso_count) == (59049, 582)
+        assert (report_sa.raw_count, report_sa.iso_count) == (1024, 148)
+        assert time.perf_counter() - started < 10.0
         report1, frames1 = se.enumerate_total_frames(1)
         assert report1.iso_count == 1
         alg = as_finite_algebra(frames1[0])

@@ -111,6 +111,22 @@ class TestSearch:
         assert code == 0
         assert "frame 1" in out
 
+    @pytest.mark.parametrize("constraints", ["bogus", "sym,witnesses", "triangle"])
+    def test_unknown_constraint_exit_two(self, capsys, constraints):
+        code, out, err = run(capsys, "search", "structures", "--k", "2",
+                             "--constraints", constraints)
+        assert code == 2
+        assert err.startswith("error: unknown constraint")
+        assert "search=" not in out
+
+    def test_emit_structures_same_for_any_jobs(self, capsys):
+        _, serial, _ = run(capsys, "search", "structures", "--k", "3",
+                           "--emit", "structures", "--jobs", "1")
+        _, parallel, _ = run(capsys, "search", "structures", "--k", "3",
+                             "--emit", "structures", "--jobs", "2")
+        assert "atoms 3" in serial
+        assert serial.replace("jobs=1", "jobs=2") == parallel
+
     def test_timing_on_stderr_only(self, capsys):
         _, out, err = run(capsys, "search", "frames", "--k", "2")
         assert "elapsed_ms" not in out
@@ -126,6 +142,19 @@ class TestRelalg:
         assert code == 0
         assert "semiassociative=pass" in out
         assert "reflexive=fail" in out
+
+    def test_element_triangle_witness(self, capsys, tmp_path):
+        # the forced cycles of three symmetric atoms, plus 1 1 2 without its
+        # Peirce images
+        forced = ["0 0 0", "0 1 1", "0 2 2", "1 0 1", "1 1 0", "2 0 2", "2 2 0"]
+        path = tmp_path / "structure.txt"
+        path.write_text("atoms 3\nid 0\n" + "".join(
+            f"cycle {c}\n" for c in forced + ["1 1 2"]))
+        code, out, _ = run(capsys, "relalg", "axioms", "--in", str(path),
+                           "--format", "records")
+        assert code == 0
+        assert ('witness law=triangle-elements value="elements 2,2,4: False/True/True"'
+                in out.splitlines())
 
     def test_minsub_of_full_two_point(self, capsys, tmp_path):
         # full algebra on a 2-element base, written as an atom structure
@@ -184,6 +213,15 @@ def test_short_lines_give_a_message(capsys, tmp_path, command, sub, text):
     else:
         assert code == 2
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("sub", ["axioms", "expand", "minsub"])
+def test_negative_atom_count_rejected(capsys, tmp_path, sub):
+    path = tmp_path / "input.txt"
+    path.write_text("atoms -1\n")
+    code, _, err = run(capsys, "relalg", sub, "--in", str(path))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 class TestUsageErrors:

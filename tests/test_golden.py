@@ -24,6 +24,12 @@ GOLDEN = {
         "cdd2d8e59f59e935a8c0e9bd2ba554393a0913c7089ad5e7c5a71558f2205156",
     ("search", "frames", "--k", "4"):
         "d72f7ab42b510d56286723c4654d8d6a2d742fbba02f564e44dc2fbccf43afeb",
+    ("search", "frames", "--k", "5"):
+        "fd3545761d291e023b83b6563cc2583df056d84d45f7eb8d1b3e222dcb548ffa",
+    ("search", "structures", "--k", "4", "--constraints", "sym,sa"):
+        "e13dccc3893915b3571c67c6723c49e8c37051081c3a6716d4ebadf10cf0696a",
+    ("search", "structures", "--k", "4", "--emit", "structures"):
+        "e093c54d981906f32b4513040d95b7f1863ee1a16755614f0816ce35fba8138e",
 }
 
 

@@ -6,6 +6,39 @@ from tensebench import relalg as ra
 from tensebench import search as se
 from tensebench.frames import CapacityError, Frame, VertexId, as_finite_algebra, is_total
 
+# (raw, iso) of the total-frame search for k = 1..5
+FRAME_COUNTS = {1: (1, 1), 2: (3, 2), 3: (27, 7), 4: (729, 42), 5: (59049, 582)}
+
+
+def code_matrix(k, code):
+    """The adjacency matrix of a search code: one base-3 digit per pair i < j,
+    0 for i->j, 1 for j->i, 2 for both, and a loop at every vertex."""
+    adj = [[i == j for j in range(k)] for i in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        choice = code % 3
+        code //= 3
+        adj[i][j] = choice in (0, 2)
+        adj[j][i] = choice in (1, 2)
+    return adj
+
+
+def least_matrix(adj):
+    """Brute-force canonical key: the least matrix bits (bit i*k + j is the
+    edge i->j) over all vertex permutations."""
+    k = len(adj)
+    best = None
+    for perm in itertools.permutations(range(k)):
+        bits = 0
+        pos = 0
+        for i in range(k):
+            for j in range(k):
+                if adj[perm[i]][perm[j]]:
+                    bits |= 1 << pos
+                pos += 1
+        if best is None or bits < best:
+            best = bits
+    return best
+
 
 class TestTotalFrames:
     def test_one_vertex(self):
@@ -45,6 +78,20 @@ class TestTotalFrames:
         for a in range(len(bit_sets)):
             for b in range(a + 1, len(bit_sets)):
                 assert not (bit_sets[a] & bit_sets[b])
+
+    @pytest.mark.parametrize("k", sorted(FRAME_COUNTS))
+    def test_counts(self, k):
+        report, frames = se.enumerate_total_frames(k)
+        assert (report.raw_count, report.iso_count) == FRAME_COUNTS[k]
+        assert len(frames) == report.iso_count
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_keys_match_brute_force(self, k):
+        report, _ = se.enumerate_total_frames(k)
+        expected = {least_matrix(code_matrix(k, code)) for code in range(3 ** (k * (k - 1) // 2))}
+        assert report.representatives == tuple(
+            f"matrix={bits:0{k * k}b}" for bits in sorted(expected)
+        )
 
     def test_serial_parallel_identical(self):
         serial, _ = se.enumerate_total_frames(3, jobs=1)
