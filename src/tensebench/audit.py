@@ -24,6 +24,13 @@ from .symbolic import SymbolicSet
 
 DEFAULT_SEED = 0xB5
 ORACLE_WINDOW = TruncationSpec(-8, 8, 48)
+_ORACLE_INNER = ORACLE_WINDOW.shrink(1)
+# the inner window's vertices as a mask in ORACLE_WINDOW.vertices() order
+_ORACLE_INNER_MASK = sum(
+    ((1 << _ORACLE_INNER.index_max) - 1)
+    << (p - ORACLE_WINDOW.level_lo) * ORACLE_WINDOW.index_max
+    for p in range(_ORACLE_INNER.level_lo, _ORACLE_INNER.level_hi + 1)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +276,13 @@ def _cached_frame(spec: TruncationSpec, s: SParameter):
 
 def _oracle_agrees(s: SParameter, x: SymbolicSet, result: SymbolicSet, op: str) -> bool:
     """Compare a symbolic image/preimage against the truncation oracle on the
-    window shrunk by one step."""
+    window shrunk by one step.  Both sides are vertex masks in the frame's
+    vertex order, which is ``ORACLE_WINDOW.vertices()`` order."""
     frame = _cached_frame(ORACLE_WINDOW, s)
-    inner = ORACLE_WINDOW.shrink(1)
     fn = complex_f if op == "f" else complex_g
-    current = fn(frame, sym.restrict_to_window(x, ORACLE_WINDOW))
-    want = {v for v in current if inner.contains(v)}
-    got = set(sym.restrict_to_window(result, inner))
-    return got == want
+    want = fn(frame, sym.window_mask(x, ORACLE_WINDOW))
+    got = sym.window_mask(result, ORACLE_WINDOW)
+    return (want ^ got) & _ORACLE_INNER_MASK == 0
 
 
 def parallel_map(fn: Callable, items: list, jobs: int = 1) -> list:

@@ -90,8 +90,10 @@ class TruncationSpec:
 class Frame:
     """Immutable directed graph over an ordered vertex list.
 
-    Adjacency is stored per vertex; bit vectors are used internally for
-    speed but never exposed.  Vertex order is (level, index) ascending.
+    Adjacency is stored per vertex as a bit vector over the vertex ordinals;
+    ``mask`` and ``unmask`` convert between vertices and such masks, which
+    are what the complex operators take and return.  Vertex order is
+    (level, index) ascending.
     """
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]):
@@ -137,39 +139,25 @@ class Frame:
         return bool(self._succ[self._ordinal[src]] >> self._ordinal[dst] & 1)
 
     def successors(self, v: VertexId) -> tuple[VertexId, ...]:
-        return self._unmask(self._succ[self._ordinal[v]])
+        return self.unmask(self._succ[self._ordinal[v]])
 
     def edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
         out = []
         for i, v in enumerate(self._vertices):
-            for w in self._unmask(self._succ[i]):
+            for w in self.unmask(self._succ[i]):
                 out.append((v, w))
         return tuple(out)
 
-    def _mask(self, xs: Iterable[VertexId]) -> int:
+    def mask(self, xs: Iterable[VertexId]) -> int:
+        """The vertices ``xs`` as a mask over the ordinals."""
         mask = 0
         for v in xs:
             mask |= 1 << self._ordinal[v]
         return mask
 
-    def _unmask(self, mask: int) -> tuple[VertexId, ...]:
+    def unmask(self, mask: int) -> tuple[VertexId, ...]:
+        """The vertices of a mask, in canonical order."""
         return tuple(self._vertices[i] for i in iter_bits(mask))
-
-    def image_mask(self, mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= self._succ[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def preimage_mask(self, mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= self._pred[low.bit_length() - 1]
-            mask ^= low
-        return out
 
 
 def edge_present(s: SParameter, src: VertexId, dst: VertexId) -> bool:
@@ -240,14 +228,24 @@ def is_total(frame: Frame) -> bool:
     )
 
 
-def complex_f(frame: Frame, xs: Iterable[VertexId]) -> frozenset[VertexId]:
-    """All successors of members of xs (the image operator)."""
-    return frozenset(frame._unmask(frame.image_mask(frame._mask(xs))))
+def _gather(adjacency: tuple[int, ...], mask: int) -> int:
+    """The union of the adjacency masks of the vertices in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adjacency[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
-def complex_g(frame: Frame, xs: Iterable[VertexId]) -> frozenset[VertexId]:
-    """All predecessors of members of xs (the preimage operator)."""
-    return frozenset(frame._unmask(frame.preimage_mask(frame._mask(xs))))
+def complex_f(frame: Frame, mask: int) -> int:
+    """All successors of the vertices in ``mask`` (the image operator)."""
+    return _gather(frame._succ, mask)
+
+
+def complex_g(frame: Frame, mask: int) -> int:
+    """All predecessors of the vertices in ``mask`` (the preimage operator)."""
+    return _gather(frame._pred, mask)
 
 
 class FiniteTenseAlgebra:

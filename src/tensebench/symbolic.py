@@ -17,6 +17,7 @@ module compares both against the finite truncation oracle.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .sparam import SParameter
 # canonical rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     """Canonical description of one level's index set.
 
@@ -90,16 +91,17 @@ def row_contains(s: SParameter, r: Row, n: int) -> bool:
     return r.pat_tail if s.in_pattern(n) else r.off_tail
 
 
-def _row_bits(s: SParameter, r: Row, k: int) -> int:
-    """The members of r below k, as a mask."""
+def _row_bits(r: Row, pat: int, k: int) -> int:
+    """The members of r below k, as a mask, given the pattern mask below k."""
     below = (1 << k) - 1
-    tails = _tails(s.pattern_mask(k), r.pat_tail, r.off_tail) & (below >> r.start << r.start)
+    tails = _tails(pat, r.pat_tail, r.off_tail) & (below >> r.start << r.start)
     return (r.prefix & below) | tails
 
 
 def _row_binary(s: SParameter, a: Row, b: Row, op) -> Row:
     base = max(a.start, b.start)
-    members = op(_row_bits(s, a, base), _row_bits(s, b, base))
+    pat = s.pattern_mask(base)
+    members = op(_row_bits(a, pat, base), _row_bits(b, pat, base))
     return make_row(s, members, base, op(a.pat_tail, b.pat_tail), op(a.off_tail, b.off_tail))
 
 
@@ -161,7 +163,7 @@ def tail_row(s: SParameter, start: int) -> Row:
 # symbolic sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicSet:
     """Canonical element of the generated subalgebra for one parameter.
 
@@ -238,6 +240,45 @@ def _span(x: SymbolicSet) -> tuple[int, int] | None:
     return None
 
 
+# union, intersect, complement, apply_f and apply_g are memoized on their
+# arguments: canonical forms make structural equality a sound key.  The
+# tables hold results for the parameter of the latest call only.  The cap
+# was set by measurement (2-core Xeon, Python 3.11): 4096 raised the audit
+# benchmark's peak RSS by up to 4%, 1024 by about 1%, at the same
+# throughput.
+
+MEMO_CAP = 1024
+_memo_tables: list[dict] = []
+_memo_sparam: list[SParameter | None] = [None]
+
+
+def _memoized(fn):
+    """fn with its own table (``.cache``), emptied with all others when a
+    call's parameter differs from the cached one and on its own when it
+    reaches MEMO_CAP; the uncached fn is ``__wrapped__``."""
+    table: dict = {}
+    _memo_tables.append(table)
+
+    @functools.wraps(fn)
+    def memo(*args):
+        s = args[0].sparam
+        if s is not _memo_sparam[0]:
+            if s != _memo_sparam[0]:
+                for other in _memo_tables:
+                    other.clear()
+            _memo_sparam[0] = s
+        out = table.get(args)
+        if out is None:
+            out = fn(*args)
+            if len(table) >= MEMO_CAP:
+                table.clear()
+            table[args] = out
+        return out
+
+    memo.cache = table
+    return memo
+
+
 def _binary(x: SymbolicSet, y: SymbolicSet, mode_op, row_op) -> SymbolicSet:
     _check_same_param(x, y)
     s = x.sparam
@@ -252,14 +293,17 @@ def _binary(x: SymbolicSet, y: SymbolicSet, mode_op, row_op) -> SymbolicSet:
     return _make_set(s, below, above, lo, rows)
 
 
+@_memoized
 def union(x: SymbolicSet, y: SymbolicSet) -> SymbolicSet:
     return _binary(x, y, lambda a, b: a or b, row_union)
 
 
+@_memoized
 def intersect(x: SymbolicSet, y: SymbolicSet) -> SymbolicSet:
     return _binary(x, y, lambda a, b: a and b, row_intersect)
 
 
+@_memoized
 def complement(x: SymbolicSet) -> SymbolicSet:
     s = x.sparam
     rows = [row_complement(s, r) for r in x.rows]
@@ -371,6 +415,7 @@ def _g_row_image(s: SParameter, r: Row) -> Row:
     return tail_row(s, lo)
 
 
+@_memoized
 def apply_f(x: SymbolicSet) -> SymbolicSet:
     s = x.sparam
     if is_empty(x):
@@ -386,6 +431,7 @@ def apply_f(x: SymbolicSet) -> SymbolicSet:
     return _make_set(s, True, False, top_level, [out_top, out_above])
 
 
+@_memoized
 def apply_g(x: SymbolicSet) -> SymbolicSet:
     s = x.sparam
     if is_empty(x):
@@ -598,13 +644,23 @@ def shift(x: SymbolicSet, delta: int) -> SymbolicSet:
     return SymbolicSet(x.sparam, x.below_full, x.above_full, x.anchor + delta, x.rows)
 
 
+def window_mask(x: SymbolicSet, spec: TruncationSpec) -> int:
+    """Members inside the window as a mask: bit i for ``spec.vertices()[i]``."""
+    width = spec.index_max
+    pat = x.sparam.pattern_mask(width + 1)
+    out = 0
+    for p in range(spec.level_hi, spec.level_lo - 1, -1):
+        out = out << width | _row_bits(x.row_at(p), pat, width + 1) >> 1
+    return out
+
+
 def restrict_to_window(x: SymbolicSet, spec: TruncationSpec) -> tuple[VertexId, ...]:
     """Members inside the window, in canonical order."""
-    out = []
-    for p in range(spec.level_lo, spec.level_hi + 1):
-        bits = _row_bits(x.sparam, x.row_at(p), spec.index_max + 1)
-        out.extend(VertexId(p, n) for n in iter_bits(bits))
-    return tuple(out)
+    width = spec.index_max
+    return tuple(
+        VertexId(spec.level_lo + i // width, i % width + 1)
+        for i in iter_bits(window_mask(x, spec))
+    )
 
 
 # ---------------------------------------------------------------------------

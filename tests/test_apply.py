@@ -26,11 +26,11 @@ def B(kind, p, m=None):
 def assert_oracle(s, x, result, op, depth=1):
     frame = build_truncation(WINDOW, s)
     inner = WINDOW.shrink(depth)
-    current = frozenset(sym.restrict_to_window(x, WINDOW))
+    current = frame.mask(sym.restrict_to_window(x, WINDOW))
     step = complex_f if op == "f" else complex_g
     for _ in range(depth):
         current = step(frame, current)
-    want = {v for v in current if inner.contains(v)}
+    want = {v for v in frame.unmask(current) if inner.contains(v)}
     assert set(sym.restrict_to_window(result, inner)) == want
 
 
@@ -116,8 +116,8 @@ class TestDualPathAndOracle:
                 ):
                     got = rule(x)
                     assert sym.is_equal(got, table(x)), (kind, p, m, op)
-                    base = frozenset(sym.restrict_to_window(x, WINDOW))
-                    want = {v for v in oracle(frame, base) if inner.contains(v)}
+                    base = frame.mask(sym.restrict_to_window(x, WINDOW))
+                    want = {v for v in frame.unmask(oracle(frame, base)) if inner.contains(v)}
                     assert set(sym.restrict_to_window(got, inner)) == want, (kind, p, m, op)
 
     def test_random_unions(self, family_param):

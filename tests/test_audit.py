@@ -5,6 +5,7 @@ import pytest
 
 from tensebench import audit as au
 from tensebench import symbolic as sym
+from tensebench.cli import main
 from tensebench.sparam import parse_sparam
 
 
@@ -202,6 +203,60 @@ class TestCross:
         report = au.cross_validate(s, samples=100)
         assert report.ok, report.failures[:3]
         assert not report.counterexamples
+
+
+def toggled(x, p, m):
+    """x with the membership of the vertex (p, m) flipped."""
+    a = sym.basis(x.sparam, sym.BasisSet("A", p, m))
+    return sym.union(sym.intersect(x, sym.complement(a)), sym.intersect(sym.complement(x), a))
+
+
+class TestOracleLayout:
+    """The mask comparison covers exactly the inner window: levels -7..7 and
+    indices 1..47 of the 17 x 48 oracle window."""
+
+    INNER_CORNERS = [(-7, 1), (7, 47)]
+    OUTSIDE_INNER = [(0, 48), (-7, 48), (7, 48), (-8, 1), (-8, 47), (8, 1), (8, 47)]
+
+    @pytest.mark.parametrize("op", ["f", "g"])
+    def test_inner_window_is_compared_and_nothing_else(self, op):
+        s = parse_sparam("{3}")
+        rule = sym.apply_f if op == "f" else sym.apply_g
+        for b in (sym.BasisSet("A", 0, 5), sym.BasisSet("V", 0), sym.BasisSet("S", -2, 4)):
+            x = sym.basis(s, b)
+            result = rule(x)
+            assert au._oracle_agrees(s, x, result, op), b
+            for p, m in self.INNER_CORNERS:
+                assert not au._oracle_agrees(s, x, toggled(result, p, m), op), (b, p, m)
+            for p, m in self.OUTSIDE_INNER:
+                assert au._oracle_agrees(s, x, toggled(result, p, m), op), (b, p, m)
+
+
+def records(capsys, argv):
+    assert main([*argv, "--format", "records"]) == 0
+    return capsys.readouterr().out
+
+
+class TestHistoryIndependence:
+    """The operator memo never shows in the output: the same records come
+    out cold, warm from another lemma on the same parameter, and after a
+    different parameter."""
+
+    @pytest.mark.parametrize("argv, same_param, other_param", [
+        (("audit", "cross", "--s", "O"), ("audit", "fg", "--s", "O"),
+         ("audit", "desc", "--s", "{3}")),
+        (("audit", "sent", "--s", "{3}"), ("audit", "steps", "--s", "{3}"),
+         ("audit", "top", "--s", "O")),
+    ], ids=["cross", "sent"])
+    def test_records_do_not_depend_on_the_memo(self, capsys, argv, same_param, other_param):
+        for op in (sym.union, sym.intersect, sym.complement, sym.apply_f, sym.apply_g):
+            op.cache.clear()
+        cold = records(capsys, argv)
+        records(capsys, same_param)
+        warm = records(capsys, argv)
+        records(capsys, other_param)
+        after_switch = records(capsys, argv)
+        assert cold == warm == after_switch
 
 
 class TestReportMechanics:

@@ -74,3 +74,53 @@ def test_rule_path_equals_clause_table(s):
         x, _ = random_element(rng, s, max_index=s.stable_from + 4)
         assert sym.apply_f(x) == sym.apply_f_table(x)
         assert sym.apply_g(x) == sym.apply_g_table(x)
+
+
+MEMOIZED = (sym.union, sym.intersect, sym.complement, sym.apply_f, sym.apply_g)
+
+
+def test_memoized_operators_equal_the_uncached_ones(s):
+    rng = random.Random(f"{SEED} memo {s}")
+    for _ in range(8):
+        x, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        y, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        for op, args in ((sym.union, (x, y)), (sym.intersect, (x, y)), (sym.complement, (x,)),
+                         (sym.apply_f, (x,)), (sym.apply_g, (x,))):
+            want = op.__wrapped__(*args)
+            for _ in range(2):  # a miss or a hit, then a hit
+                got = op(*args)
+                assert got == want
+                assert sym.validate_canonical(got)
+            assert op.cache[args] == want
+
+
+def test_mixed_parameter_union_still_raises():
+    s, t = PARAMS[0], PARAMS[1]
+    assert s != t
+    x, y = sym.basis(s, sym.BasisSet("V", 0)), sym.basis(t, sym.BasisSet("V", 0))
+    assert sym.union(x, x) == x
+    for op, args in ((sym.union, (x, y)), (sym.union, (y, x)), (sym.intersect, (x, y))):
+        with pytest.raises(ValueError):
+            op(*args)
+
+
+def test_no_cache_exceeds_the_cap():
+    s = PARAMS[0]
+    x = sym.basis(s, sym.BasisSet("D", 0))
+    for m in range(1, sym.MEMO_CAP + 40):
+        a = sym.basis(s, sym.BasisSet("A", m % 7, m))
+        sym.complement(a)
+        sym.union(x, a)
+        assert all(len(op.cache) <= sym.MEMO_CAP for op in MEMOIZED)
+    assert 0 < len(sym.complement.cache) < 40
+
+
+def test_parameter_switch_empties_every_cache():
+    s, t = PARAMS[0], PARAMS[1]
+    x, y = sym.basis(s, sym.BasisSet("V", 0)), sym.basis(s, sym.BasisSet("A", 1, 3))
+    for op, args in ((sym.union, (x, y)), (sym.intersect, (x, y)), (sym.complement, (x,)),
+                     (sym.apply_f, (x,)), (sym.apply_g, (y,))):
+        op(*args)
+    assert all(op.cache for op in MEMOIZED)
+    sym.apply_g(sym.basis(t, sym.BasisSet("V", 0)))
+    assert [len(op.cache) for op in MEMOIZED] == [0, 0, 0, 0, 1]

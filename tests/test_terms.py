@@ -88,10 +88,10 @@ class TestFormulas:
         s = S_EMPTY
         window = TruncationSpec(-2, 2, 12)
         frame = build_truncation(window, s)
-        x = frozenset([VertexId(0, 3)])
+        x = frame.mask([VertexId(0, 3)])
         from tensebench.frames import complex_f, complex_g
 
-        meet = complex_f(frame, x) & complex_g(frame, x)
+        meet = frame.unmask(complex_f(frame, x) & complex_g(frame, x))
         inner = window.shrink(1)
         assert {v for v in meet if inner.contains(v)} == {
             VertexId(0, 2), VertexId(0, 3), VertexId(0, 4)
