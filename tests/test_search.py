@@ -9,6 +9,22 @@ from tensebench.frames import CapacityError, Frame, VertexId, as_finite_algebra,
 # (raw, iso) of the total-frame search for k = 1..5
 FRAME_COUNTS = {1: (1, 1), 2: (3, 2), 3: (27, 7), 4: (729, 42), 5: (59049, 582)}
 
+# (raw, iso) of the atom-structure search by (k, constraints)
+STRUCTURE_COUNTS = {
+    (3, ()): (20, 14),
+    (3, ("sym",)): (16, 10),
+    (3, ("sym", "sa")): (16, 7),
+    (3, ("sa",)): (20, 10),
+    (4, ()): (1408, 304),
+    (4, ("sym",)): (1024, 208),
+    (4, ("sym", "sa")): (1024, 148),
+    (4, ("sym", "assoc")): (1024, 65),
+    (4, ("sa",)): (1408, 220),
+    (4, ("assoc",)): (1408, 102),
+    (4, ("refl",)): (1408, 56),
+    (4, ("subadd",)): (1408, 104),
+}
+
 
 def code_matrix(k, code):
     """The adjacency matrix of a search code: one base-3 digit per pair i < j,
@@ -198,3 +214,12 @@ class TestAtomStructures:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             se.enumerate_atom_structures(5)
+
+    @pytest.mark.parametrize(
+        "k, constraints", list(STRUCTURE_COUNTS),
+        ids=[f"k{k}-{','.join(c) or 'none'}" for k, c in STRUCTURE_COUNTS],
+    )
+    def test_counts(self, k, constraints):
+        report, structures = se.enumerate_atom_structures(k, constraints)
+        assert (report.raw_count, report.iso_count) == STRUCTURE_COUNTS[(k, constraints)]
+        assert len(structures) == report.iso_count
