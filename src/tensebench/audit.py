@@ -12,6 +12,7 @@ worker counts.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -287,13 +288,15 @@ def _oracle_agrees(s: SParameter, x: SymbolicSet, result: SymbolicSet, op: str) 
 
 def parallel_map(fn: Callable, items: list, jobs: int = 1) -> list:
     """Order-preserving map, optionally across processes; results identical to
-    the serial run by construction."""
-    if jobs <= 1 or len(items) <= 1:
+    the serial run by construction.  The pool has at most one process per
+    item and per CPU."""
+    processes = min(jobs, len(items), os.cpu_count() or 1)
+    if processes <= 1:
         return [fn(item) for item in items]
     import multiprocessing
 
-    with multiprocessing.Pool(processes=jobs) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 4)))
+    with multiprocessing.Pool(processes=processes) as pool:
+        return pool.map(fn, items, chunksize=max(1, len(items) // (processes * 4)))
 
 
 # ---------------------------------------------------------------------------

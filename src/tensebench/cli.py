@@ -212,6 +212,16 @@ def _cmd_relalg(args) -> int:
     return 0
 
 
+def _jobs_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tw",
@@ -224,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=au.DEFAULT_SEED)
         if jobs:
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_jobs_count, default=1)
 
     p_frame = subs.add_parser("frame", help="build, render, or validate finite frames")
     frame_subs = p_frame.add_subparsers(dest="sub", required=True)

@@ -3,12 +3,15 @@ complex algebras and minimality classification, and small relation-type atom
 structures.
 
 Canonical labeling is by the lexicographically least adjacency matrix (or
-serialized structure) over all vertex/atom permutations.  The frame search
-labels each isomorphism orbit once: a code's images under every permutation
-are marked visited, so the other codes of its orbit are skipped (the
-simplest case of McKay's isomorph-free generation, J. Algorithms 26, 1998).
-Work items are independent, results are merged by canonical key in
-enumeration order, and reports are identical across worker counts.
+serialized structure) over all vertex/atom permutations.  Both searches
+label each isomorphism orbit once: a code's (or orbit mask's) images under
+every permutation are marked visited, so the other members of its orbit are
+skipped (the simplest case of McKay's isomorph-free generation,
+J. Algorithms 26, 1998).  The structure search runs the axiom suite only on
+the least mask of each orbit; its representatives are found once and then
+split across workers.  Work items are independent, results are merged by
+canonical key in enumeration order, and reports are identical across worker
+counts.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import relalg
 from .audit import parallel_map
-from .frames import CapacityError, Frame, FiniteTenseAlgebra, VertexId
+from .frames import CapacityError, Frame, FiniteTenseAlgebra, VertexId, iter_bits
 from .relalg import AtomStructure
 
 MAX_FRAME_SIZE = 5
@@ -318,31 +321,89 @@ def _constraint_fields(constraints: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(fields)
 
 
-def _structure_chunk(args) -> tuple[int, dict[str, AtomStructure]]:
-    """Check the structures of one converse whose orbit masks lie in [lo, hi);
-    returns the raw count and, in enumeration order, the first passing
-    structure of each canonical key."""
-    k, conv, orbits, lo, hi, fields = args
+def _triple_orbits(k: int, conv: tuple[int, ...]) -> list[frozenset]:
+    """The Peirce orbits of the diversity triples; bit i of an orbit mask
+    selects `orbits[i]`."""
+    orbits = []
+    seen = set()
+    for triple in itertools.product(range(1, k), repeat=3):
+        if triple not in seen:
+            orbit = _orbit(triple, conv)
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def _bit_maps(k: int, conv: tuple[int, ...], orbits: list[frozenset]) -> list[tuple[int, ...]]:
+    """For each relabeling of the diversity atoms that commutes with the
+    converse, the orbit-mask bit that each bit is sent to.
+
+    Such a relabeling maps the forced cycles onto themselves and each Peirce
+    orbit onto a Peirce orbit, so it acts on the orbit masks of `conv`.
+    """
+    index = {triple: i for i, orbit in enumerate(orbits) for triple in orbit}
+    maps = []
+    for rest in itertools.permutations(range(1, k)):
+        perm = (0,) + rest
+        if all(perm[conv[a]] == conv[perm[a]] for a in range(k)):
+            maps.append(tuple(
+                index[tuple(perm[x] for x in min(orbit))] for orbit in orbits
+            ))
+    return maps
+
+
+def _mask_image(mask: int, bit_map: tuple[int, ...]) -> int:
+    image = 0
+    for i in iter_bits(mask):
+        image |= 1 << bit_map[i]
+    return image
+
+
+def _representatives(orbits: list[frozenset], maps: list[tuple[int, ...]]) -> list[int]:
+    """The least mask of each orbit of the relabelings, in ascending order.
+
+    Masks are walked in ascending order, so an unvisited mask is the least of
+    its orbit; all of its images are then marked visited.
+    """
+    visited = bytearray(1 << len(orbits))
+    reps = []
+    for mask in range(len(visited)):
+        if not visited[mask]:
+            reps.append(mask)
+            for bit_map in maps:
+                visited[_mask_image(mask, bit_map)] = 1
+    return reps
+
+
+def _structure_chunk(args) -> dict[str, AtomStructure]:
+    """Check the structures of one converse with the given orbit masks;
+    returns, in mask order, the first passing structure of each canonical key."""
+    k, conv, orbits, masks, fields = args
     forced = _forced_cycles(k, conv)
     found: dict[str, AtomStructure] = {}
-    for mask in range(lo, hi):
+    for mask in masks:
         cycles = set(forced)
-        for i, orbit in enumerate(orbits):
-            if mask >> i & 1:
-                cycles |= orbit
+        for i in iter_bits(mask):
+            cycles |= orbits[i]
         structure = AtomStructure(k, conv, frozenset({0}), frozenset(cycles))
         report = relalg.check_axioms(relalg.expand(structure), structure)
         if not all(getattr(report, name) for name in fields):
             continue
         found.setdefault(_canonical_structure(structure), structure)
-    return hi - lo, found
+    return found
 
 
 def enumerate_atom_structures(
     k: int, constraints: tuple[str, ...] = (), jobs: int = 1
 ) -> tuple[SearchReport, list[AtomStructure]]:
     """All triangle-closed atom structures with one identity atom, filtered by
-    the requested axiom subset, up to isomorphism."""
+    the requested axiom subset, up to isomorphism.
+
+    Every axiom the filter reads is invariant under relabeling the atoms, so
+    only the least mask of each orbit is checked.  Within one converse, the
+    structures with one canonical key form one such orbit, so its least mask
+    is the structure that checking every mask in order would keep first.
+    """
     if k < 1 or k > MAX_STRUCTURE_ATOMS:
         raise CapacityError(
             f"structure enumeration supports 1 <= k <= {MAX_STRUCTURE_ATOMS}"
@@ -353,25 +414,18 @@ def enumerate_atom_structures(
     conv_choices = (
         [{a: a for a in diversity}] if "symmetric" in fields else _involutions(diversity)
     )
+    raw = 0
     items = []
     for conv_map in conv_choices:
         conv = tuple([0] + [conv_map[a] for a in diversity])
-        orbits = []
-        seen = set()
-        for triple in itertools.product(diversity, repeat=3):
-            if triple in seen:
-                continue
-            orbit = _orbit(triple, conv)
-            seen |= orbit
-            orbits.append(orbit)
-        space = 1 << len(orbits)
-        chunk = -(-space // max(jobs, 1))
-        items += [(k, conv, orbits, lo, min(lo + chunk, space), fields)
-                  for lo in range(0, space, chunk)]
-    raw = 0
+        orbits = _triple_orbits(k, conv)
+        raw += 1 << len(orbits)
+        reps = _representatives(orbits, _bit_maps(k, conv, orbits))
+        chunk = -(-len(reps) // max(jobs, 1))
+        items += [(k, conv, orbits, reps[lo:lo + chunk], fields)
+                  for lo in range(0, len(reps), chunk)]
     found: dict[str, AtomStructure] = {}
-    for count, chunk_found in parallel_map(_structure_chunk, items, jobs):
-        raw += count
+    for chunk_found in parallel_map(_structure_chunk, items, jobs):
         for key, structure in chunk_found.items():
             found.setdefault(key, structure)
     keys = sorted(found)

@@ -1,6 +1,9 @@
 """The audit reports: expected outcomes, determinism, allowlist behaviour,
 and self-certification of recorded counterexamples."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from tensebench import audit as au
@@ -281,3 +284,32 @@ class TestReportMechanics:
         for rule in au.ALLOWLIST:
             assert rule.lemma in au.AUDITS
             assert rule.reason and rule.key
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the size asked for and
+    maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("cpus, items, size", [(8, 3, 3), (2, 20, 2), (None, 20, None)])
+    def test_pool_capped_by_items_and_cpus(self, monkeypatch, cpus, items, size):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert au.parallel_map(abs, list(range(-items, 0)), 10 ** 6) == list(range(items, 0, -1))
+        assert RecordingPool.sizes == ([] if size is None else [size])

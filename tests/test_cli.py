@@ -120,12 +120,17 @@ class TestSearch:
         assert "search=" not in out
 
     def test_emit_structures_same_for_any_jobs(self, capsys):
-        _, serial, _ = run(capsys, "search", "structures", "--k", "3",
-                           "--emit", "structures", "--jobs", "1")
-        _, parallel, _ = run(capsys, "search", "structures", "--k", "3",
-                             "--emit", "structures", "--jobs", "2")
-        assert "atoms 3" in serial
-        assert serial.replace("jobs=1", "jobs=2") == parallel
+        cases = [(("--emit", "structures"), "atoms 4"),
+                 (("--constraints", "sym,sa"), "raw=1024 iso=148")]
+        for extra, marker in cases:
+            outputs = []
+            for jobs in ("1", "2", "3"):
+                code, out, _ = run(capsys, "search", "structures", "--k", "4", *extra,
+                                   "--jobs", jobs)
+                assert code == 0
+                outputs.append(out.replace(f"jobs={jobs}", "jobs=N"))
+            assert marker in outputs[0]
+            assert outputs[0] == outputs[1] == outputs[2]
 
     def test_timing_on_stderr_only(self, capsys):
         _, out, err = run(capsys, "search", "frames", "--k", "2")
@@ -241,6 +246,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["explode"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [("audit", "fg"), ("search", "frames", "--k", "2"),
+                                      ("search", "structures", "--k", "4")])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_rejected(self, capsys, argv, jobs):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--jobs", jobs])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument --jobs" in captured.err
+        assert captured.out == ""
 
     def test_bad_sparam(self, capsys):
         code, _, err = run(capsys, "eval", "--s", "{4}", "--term", "sigma",

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -24,6 +26,7 @@ STRUCTURE_COUNTS = {
     (4, ("refl",)): (1408, 56),
     (4, ("subadd",)): (1408, 104),
 }
+DUAL_PATH_CASES = [(1, ()), (2, ()), (2, ("sym",))] + list(STRUCTURE_COUNTS)
 
 
 def code_matrix(k, code):
@@ -54,6 +57,44 @@ def least_matrix(adj):
         if best is None or bits < best:
             best = bits
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def checked_masks(k):
+    """Reference: every orbit mask of every converse, in enumeration order,
+    with its structure, axiom report and canonical key."""
+    diversity = tuple(range(1, k))
+    out = []
+    for conv_map in se._involutions(diversity):
+        conv = tuple([0] + [conv_map[a] for a in diversity])
+        orbits = se._triple_orbits(k, conv)
+        forced = se._forced_cycles(k, conv)
+        for mask in range(1 << len(orbits)):
+            cycles = set(forced)
+            for i, orbit in enumerate(orbits):
+                if mask >> i & 1:
+                    cycles |= orbit
+            structure = ra.AtomStructure(k, conv, frozenset({0}), frozenset(cycles))
+            report = ra.check_axioms(ra.expand(structure), structure)
+            out.append((conv, mask, structure, report, se._canonical_structure(structure)))
+    return tuple(out)
+
+
+def every_mask_search(k, constraints):
+    """Reference search: check every mask and keep the first passing
+    structure of each canonical key."""
+    fields = se._constraint_fields(constraints)
+    raw = 0
+    found = {}
+    for conv, _, structure, report, key in checked_masks(k):
+        if "symmetric" in fields and conv != tuple(range(k)):
+            continue
+        raw += 1
+        if all(getattr(report, name) for name in fields):
+            found.setdefault(key, structure)
+    keys = sorted(found)
+    report = se.SearchReport("structures", k, constraints, raw, len(keys), tuple(keys))
+    return report, [found[key] for key in keys]
 
 
 class TestTotalFrames:
@@ -223,3 +264,47 @@ class TestAtomStructures:
         report, structures = se.enumerate_atom_structures(k, constraints)
         assert (report.raw_count, report.iso_count) == STRUCTURE_COUNTS[(k, constraints)]
         assert len(structures) == report.iso_count
+
+
+class TestOrbitOnceStructures:
+    @pytest.mark.parametrize(
+        "k, constraints", DUAL_PATH_CASES,
+        ids=[f"k{k}-{','.join(c) or 'none'}" for k, c in DUAL_PATH_CASES],
+    )
+    def test_matches_every_mask_search(self, k, constraints):
+        report, structures = se.enumerate_atom_structures(k, constraints)
+        expected, expected_structures = every_mask_search(k, constraints)
+        assert report.to_records() == expected.to_records()
+        assert [s.to_text() for s in structures] == [s.to_text() for s in expected_structures]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_mask_agrees_with_its_representative(self, k):
+        checked = {(conv, mask): (report, key) for conv, mask, _, report, key in checked_masks(k)}
+        for conv in sorted({conv for conv, _ in checked}):
+            orbits = se._triple_orbits(k, conv)
+            maps = se._bit_maps(k, conv, orbits)
+            reps = se._representatives(orbits, maps)
+            least = [min(se._mask_image(mask, m) for m in maps) for mask in range(1 << len(orbits))]
+            assert reps == sorted(set(least))
+            for mask, rep in enumerate(least):
+                report, key = checked[(conv, mask)]
+                rep_report, rep_key = checked[(conv, rep)]
+                assert key == rep_key, (conv, mask, rep)
+                assert (dataclasses.replace(report, witnesses=())
+                        == dataclasses.replace(rep_report, witnesses=())), (conv, mask, rep)
+
+    @pytest.mark.parametrize(
+        "constraints, calls", [(("sym", "sa"), 208), ((), 496)], ids=["sym,sa", "none"]
+    )
+    def test_axioms_checked_once_per_orbit(self, monkeypatch, constraints, calls):
+        count = 0
+        check_axioms = ra.check_axioms
+
+        def counting(alg, structure):
+            nonlocal count
+            count += 1
+            return check_axioms(alg, structure)
+
+        monkeypatch.setattr(ra, "check_axioms", counting)
+        se.enumerate_atom_structures(4, constraints)
+        assert count == calls
