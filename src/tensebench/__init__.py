@@ -76,14 +76,11 @@ from .relalg import (
     AtomStructure,
     FiniteRelAlgebra,
     AxiomReport,
-    CompositionScheme,
     expand,
     check_axioms,
     minimal_subalgebra,
     proper_algebra,
     minimal_point_algebra,
-    rel_compose_symbolic,
-    ConfigurationError,
 )
 from .search import (
     SearchReport,

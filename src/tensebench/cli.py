@@ -1,10 +1,14 @@
 """The ``tw`` command line: construction, evaluation, audits, separation,
-and search as subcommands with stable text output.
+search and finite relation-type algebras as subcommands with stable text
+output.
 
 Every run echoes its effective configuration first.  Output for identical
-invocations is byte-identical; timing goes to stderr.  Exit codes: 0 on
+invocations is byte-identical; timing goes to stderr.  Only ``audit`` and
+``distinguish`` print differently under ``--format records``; ``search``
+accepts the option and prints records either way.  Exit codes: 0 on
 success or all-confirmed, 1 on a counterexample outside the allowlist or a
-non-separated outcome, 2 on usage or configuration errors.
+non-separated outcome, 2 on usage errors, malformed input, exhausted
+capacity or a term too deep to evaluate.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .frames import (
     is_total,
     parse_frame,
 )
-from .relalg import ConfigurationError
 from .sparam import default_family, parse_sparam
 
 
@@ -166,28 +169,6 @@ def _load_structure(path: str) -> ra.AtomStructure:
 
 
 def _cmd_relalg(args) -> int:
-    if args.sub == "compose":
-        s = parse_sparam(args.s)
-        _echo(args, scheme=args.scheme or "none", x=repr(args.x), y=repr(args.y))
-        if not args.scheme:
-            raise ConfigurationError(
-                "no composition scheme configured; pass --scheme with a file "
-                "defining 'comp:'/'conv:' terms from the tense/r-algebra term "
-                "equivalence (Jipsen-Kramer-Maddux, Theorem 7)"
-            )
-        with open(args.scheme, encoding="utf-8") as handle:
-            scheme = ra.parse_scheme(handle.read())
-        x = sym.parse_set(s, args.x)
-        y = sym.parse_set(s, args.y)
-        if args.z:
-            z = sym.parse_set(s, args.z)
-            left, right, distinct = ra.associativity_probe(s, scheme, x, y, z)
-            print(f"left={sym.display(left)}")
-            print(f"right={sym.display(right)}")
-            print(f"distinct={'yes' if distinct else 'no'}")
-        else:
-            print(sym.display(ra.rel_compose_symbolic(s, scheme, x, y)))
-        return 0
     structure = _load_structure(args.infile)
     _echo(args, infile=args.infile)
     alg = ra.expand(structure)
@@ -248,11 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out")
         if name == "dot":
             q.add_argument("--suppress-loops", action="store_true")
-        common(q)
         q.set_defaults(handler=_cmd_frame)
     q = frame_subs.add_parser("check")
     q.add_argument("--in", dest="infile", required=True)
-    common(q)
     q.set_defaults(handler=_cmd_frame)
 
     p_eval = subs.add_parser("eval", help="evaluate a term over the symbolic carrier")
@@ -260,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--term", required=True, help="beta | sigma | nu<k> | term syntax")
     p_eval.add_argument("--at", required=True, help="value for x, e.g. 'A(0,1)'")
     p_eval.add_argument("--env", action="append", help="extra binding name=SET")
-    common(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_audit = subs.add_parser("audit", help="replay one claim family against the engine")
@@ -291,21 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(q, jobs=True)
     q.set_defaults(handler=_cmd_search)
 
-    p_rel = subs.add_parser("relalg", help="atom structures, axiom suite, composition")
+    p_rel = subs.add_parser("relalg", help="atom structures, their expansion and axiom suite")
     rel_subs = p_rel.add_subparsers(dest="sub", required=True)
     for name in ("expand", "axioms", "minsub"):
         q = rel_subs.add_parser(name)
         q.add_argument("--in", dest="infile", required=True)
-        common(q)
         q.set_defaults(handler=_cmd_relalg)
-    q = rel_subs.add_parser("compose")
-    q.add_argument("--s", required=True)
-    q.add_argument("--scheme", help="scheme file with comp:/conv: lines")
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    q.add_argument("--z", help="third argument: run the associativity probe")
-    common(q)
-    q.set_defaults(handler=_cmd_relalg)
 
     return parser
 
@@ -315,8 +284,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigurationError, CapacityError, ValueError, OSError) as exc:
+    except (CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: term too deep to evaluate (Python recursion limit reached)",
+              file=sys.stderr)
         return 2
 
 

@@ -268,22 +268,10 @@ class FiniteTenseAlgebra:
         self.one = (1 << n) - 1
 
     def f(self, x: int) -> int:
-        out = 0
-        rest = x
-        while rest:
-            low = rest & -rest
-            out |= self.f_atom[low.bit_length() - 1]
-            rest ^= low
-        return out
+        return _gather(self.f_atom, x)
 
     def g(self, x: int) -> int:
-        out = 0
-        rest = x
-        while rest:
-            low = rest & -rest
-            out |= self.g_atom[low.bit_length() - 1]
-            rest ^= low
-        return out
+        return _gather(self.g_atom, x)
 
     def neg(self, x: int) -> int:
         return self.one ^ x

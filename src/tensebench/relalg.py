@@ -1,6 +1,5 @@
-"""Finite relation-type algebras from atom structures, the axiom suite, the
-three minimal algebras, and a pluggable composition evaluator over the
-symbolic carrier.
+"""Finite relation-type algebras from atom structures, the axiom suite and
+the three minimal algebras.
 
 An atom structure presents the algebra by its atoms: an involutive converse
 permutation, the set of identity atoms, and the allowed triples (a, b, c)
@@ -8,24 +7,20 @@ meaning c lies below a*b.  Expansion lifts everything additively to the
 powerset.  The proper algebras over explicit 1/2/3-element base sets are
 built directly from binary relations, so the minimal algebras derive from
 first principles rather than transcription.
+
+Composition over the symbolic carrier of a tense algebra has no code here:
+a composition term in ``x`` and ``y`` is evaluated like any other term, by
+``terms.eval_term`` (``tw eval --term ... --env y=...``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import symbolic as sym
-from . import terms as tm
 from .frames import CapacityError
-from .sparam import SParameter
-from .symbolic import SymbolicSet
 
 MAX_ATOMS = 12
 ELEMENT_TRIANGLE_CAP = 32  # element-level triangle enumeration up to this many elements
-
-
-class ConfigurationError(Exception):
-    """A required runtime configuration (e.g. a composition scheme) is missing."""
 
 
 @dataclass(frozen=True)
@@ -410,67 +405,3 @@ def minimal_subalgebra(alg: FiniteRelAlgebra) -> FiniteRelAlgebra:
 def minimal_point_algebra(base_size: int) -> FiniteRelAlgebra:
     """The minimal subalgebra of the full algebra on a base of that size."""
     return minimal_subalgebra(proper_algebra(base_size))
-
-
-# ---------------------------------------------------------------------------
-# composition over the symbolic carrier
-
-
-@dataclass(frozen=True)
-class CompositionScheme:
-    comp_term: tm.Term  # binary in x, y
-    conv_term: tm.Term  # unary in x
-
-    def __post_init__(self):
-        if not tm.free_vars(self.comp_term) <= {"x", "y"}:
-            raise ValueError("composition term may only use x and y")
-        if not tm.free_vars(self.conv_term) <= {"x"}:
-            raise ValueError("converse term may only use x")
-
-
-def parse_scheme(text: str) -> CompositionScheme:
-    comp = conv = None
-    for line in text.splitlines():
-        body = line.strip()
-        if body.startswith("comp:"):
-            comp = tm.parse_term(body[5:])
-        elif body.startswith("conv:"):
-            conv = tm.parse_term(body[5:])
-        elif body:
-            raise ValueError(f"unrecognized scheme line: {line!r}")
-    if comp is None:
-        raise ValueError("scheme file must define 'comp: <term in x,y>'")
-    if conv is None:
-        conv = tm.Var("x")
-    return CompositionScheme(comp, conv)
-
-
-def rel_compose_symbolic(
-    s: SParameter, scheme: CompositionScheme | None, x: SymbolicSet, y: SymbolicSet
-) -> SymbolicSet:
-    """Evaluate the configured composition term at x, y over the symbolic
-    carrier.  No default scheme ships: the defining terms come from the known
-    term equivalence between total tense algebras and symmetric r-algebras
-    (Jipsen-Kramer-Maddux) and must be supplied as configuration."""
-    if scheme is None:
-        raise ConfigurationError(
-            "no composition scheme configured; supply a scheme file with "
-            "'comp:'/'conv:' terms transcribed from the tense/r-algebra term "
-            "equivalence (Jipsen-Kramer-Maddux, Theorem 7)"
-        )
-    handle = tm.SymbolicHandle(s)
-    return tm.eval_term(scheme.comp_term, handle, {"x": x, "y": y})
-
-
-def associativity_probe(
-    s: SParameter,
-    scheme: CompositionScheme | None,
-    x: SymbolicSet,
-    y: SymbolicSet,
-    z: SymbolicSet,
-) -> tuple[SymbolicSet, SymbolicSet, bool]:
-    """Compare x*(y*z) against (x*y)*z under the configured scheme; returns
-    both values and whether they are distinct."""
-    left = rel_compose_symbolic(s, scheme, x, rel_compose_symbolic(s, scheme, y, z))
-    right = rel_compose_symbolic(s, scheme, rel_compose_symbolic(s, scheme, x, y), z)
-    return left, right, not sym.is_equal(left, right)

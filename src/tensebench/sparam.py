@@ -105,12 +105,6 @@ class SParameter:
             return n
         return None
 
-    def same_membership_below(self, other: "SParameter", n_bound: int) -> bool:
-        """Whether both sets agree on every odd n <= n_bound."""
-        return all(
-            self.contains(n) == other.contains(n) for n in range(3, n_bound + 1, 2)
-        )
-
     def __str__(self) -> str:
         members = ",".join(str(n) for n in sorted(self.explicit))
         tail = "in" if self.tail_in else "out"

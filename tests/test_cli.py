@@ -1,6 +1,8 @@
+import argparse
+
 import pytest
 
-from tensebench.cli import main
+from tensebench.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -26,6 +28,15 @@ class TestEval:
                            "--at", "A(0,1)", "--env", "y=A(0,2)")
         assert code == 0
         assert out.splitlines()[-1] == "A(0,1) + A(0,2)"
+
+    # composition over the symbolic carrier: the user supplies the term in x, y
+    @pytest.mark.parametrize("y, want", [("A(0,1)", "A(0,1)"), ("A(1,1)", "0")],
+                             ids=["equal-atoms", "disjoint-atoms"])
+    def test_composition_term_via_env(self, capsys, y, want):
+        code, out, _ = run(capsys, "eval", "--s", "empty", "--term", "x & y",
+                           "--at", "A(0,1)", "--env", f"y={y}")
+        assert code == 0
+        assert out.splitlines()[-1] == want
 
     def test_config_echo(self, capsys):
         _, out, _ = run(capsys, "eval", "--s", "empty", "--term", "beta", "--at", "A(0,1)")
@@ -67,7 +78,22 @@ class TestDistinguish:
     def test_identical_exit_one(self, capsys):
         code, out, _ = run(capsys, "distinguish", "--s", "{3}", "--t", "{3}")
         assert code == 1
-        assert "Identical-below-bound" in out
+        assert "verdict=Identical" in out.splitlines()
+
+    @pytest.mark.parametrize("s, t, extra, code, records", [
+        ("{43}", "empty", (), 1,
+         ["witness_n=43", "S_truth=n/a", "T_truth=n/a", "verdict=Inconclusive"]),
+        ("{43}", "empty", ("--n-bound", "43"), 0,
+         ["witness_n=43", "S_truth=witness A(0,1)", "T_truth=none-up-to-64",
+          "verdict=Separated"]),
+        ("{3}", "{3} tail=out bound=9", (), 1,
+         ["witness_n=none", "S_truth=n/a", "T_truth=n/a", "verdict=Identical"]),
+    ], ids=["above-n-bound", "at-n-bound", "same-set-other-bound"])
+    def test_first_disagreement_is_exact(self, capsys, s, t, extra, code, records):
+        got, out, _ = run(capsys, "distinguish", "--s", s, "--t", t, *extra,
+                          "--format", "records")
+        assert got == code
+        assert out.splitlines()[1:] == records
 
 
 class TestFrame:
@@ -155,8 +181,7 @@ class TestRelalg:
         path = tmp_path / "structure.txt"
         path.write_text("atoms 3\nid 0\n" + "".join(
             f"cycle {c}\n" for c in forced + ["1 1 2"]))
-        code, out, _ = run(capsys, "relalg", "axioms", "--in", str(path),
-                           "--format", "records")
+        code, out, _ = run(capsys, "relalg", "axioms", "--in", str(path))
         assert code == 0
         assert ('witness law=triangle-elements value="elements 2,2,4: False/True/True"'
                 in out.splitlines())
@@ -171,29 +196,6 @@ class TestRelalg:
         code, out, _ = run(capsys, "relalg", "minsub", "--in", str(path))
         assert code == 0
         assert "atoms 2" in out
-
-    def test_compose_requires_scheme(self, capsys):
-        code, _, err = run(capsys, "relalg", "compose", "--s", "empty",
-                           "--x", "A(0,1)", "--y", "A(1,1)")
-        assert code == 2
-        assert "scheme" in err
-
-    def test_compose_with_scheme(self, capsys, tmp_path):
-        path = tmp_path / "scheme.txt"
-        path.write_text("comp: x & y\nconv: x\n")
-        code, out, _ = run(capsys, "relalg", "compose", "--s", "empty",
-                           "--scheme", str(path), "--x", "A(0,1)", "--y", "A(0,1)")
-        assert code == 0
-        assert out.splitlines()[-1] == "A(0,1)"
-
-    def test_probe_with_scheme(self, capsys, tmp_path):
-        path = tmp_path / "scheme.txt"
-        path.write_text("comp: x & y\n")
-        code, out, _ = run(capsys, "relalg", "compose", "--s", "empty",
-                           "--scheme", str(path), "--x", "A(0,1)", "--y", "A(0,1)",
-                           "--z", "A(1,1)")
-        assert code == 0
-        assert "distinct=no" in out  # meet is associative
 
 
 # Lines with too few fields, one file per case.
@@ -263,3 +265,60 @@ class TestUsageErrors:
                            "--at", "A(0,1)")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--s", "empty", "--term", "nu600", "--at", "A(0,1)"),
+        ("distinguish", "--s", "{501}", "--t", "empty", "--n-bound", "501"),
+    ], ids=["eval", "distinguish"])
+    def test_too_deep_term_exit_two(self, capsys, argv):
+        try:
+            code, _, err = run(capsys, *argv)
+        except RecursionError:  # asserted outside the handler: its traceback is huge
+            code = err = None
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--s", "empty", "--term", "sigma", "--at", "A(0,1)", "--format", "text"),
+        ("frame", "check", "--in", "frame.txt", "--format", "text"),
+        ("relalg", "axioms", "--in", "structure.txt", "--format", "text"),
+        ("relalg", "compose", "--s", "empty", "--x", "A(0,1)", "--y", "A(0,1)"),
+    ], ids=["eval-format", "frame-check-format", "relalg-axioms-format", "relalg-compose"])
+    def test_removed_options_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+# Every option of every leaf subcommand.  An option added or removed must be
+# added or removed here too.
+OPTIONS = {
+    ("frame", "build"): ["--budget", "--hi", "--imax", "--lo", "--out", "--s"],
+    ("frame", "dot"): ["--budget", "--hi", "--imax", "--lo", "--out", "--s",
+                       "--suppress-loops"],
+    ("frame", "check"): ["--in"],
+    ("eval",): ["--at", "--env", "--s", "--term"],
+    ("audit",): ["--format", "--jobs", "--s", "--seed"],
+    ("distinguish",): ["--format", "--m-bound", "--n-bound", "--s", "--t"],
+    ("search", "frames"): ["--emit", "--format", "--jobs", "--k"],
+    ("search", "structures"): ["--constraints", "--emit", "--format", "--jobs", "--k"],
+    ("relalg", "expand"): ["--in"],
+    ("relalg", "axioms"): ["--in"],
+    ("relalg", "minsub"): ["--in"],
+}
+
+
+def leaf_options(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, sorted(s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                           for s in a.option_strings)
+        return
+    for name, sub in subparsers[0].choices.items():
+        yield from leaf_options(sub, path + (name,))
+
+
+def test_option_surface():
+    assert dict(leaf_options(build_parser())) == OPTIONS

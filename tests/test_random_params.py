@@ -11,6 +11,7 @@ import pytest
 
 from conftest import random_element, raw_basis_member
 from tensebench import symbolic as sym
+from tensebench import terms as tm
 from tensebench.frames import VertexId
 from tensebench.sparam import SParameter
 
@@ -74,6 +75,38 @@ def test_rule_path_equals_clause_table(s):
         x, _ = random_element(rng, s, max_index=s.stable_from + 4)
         assert sym.apply_f(x) == sym.apply_f_table(x)
         assert sym.apply_g(x) == sym.apply_g_table(x)
+
+
+def test_de_morgan(s):
+    rng = random.Random(f"{SEED} de morgan {s}")
+    for _ in range(8):
+        x, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        y, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        assert sym.complement(sym.union(x, y)) == sym.intersect(
+            sym.complement(x), sym.complement(y))
+
+
+def test_conjugacy(s):
+    # f(x) & y = 0 iff x & g(y) = 0, with x or y an atom of a window, so that
+    # each side decides the other operator's value on that window exactly
+    rng = random.Random(f"{SEED} conjugacy {s}")
+    atoms = [sym.basis_a(s, p, m) for p in range(-2, 3) for m in range(1, s.stable_from + 4)]
+    for _ in range(4):
+        y, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        for a in atoms:
+            assert (sym.is_empty(sym.intersect(sym.apply_f(a), y))
+                    == sym.is_empty(sym.intersect(a, sym.apply_g(y)))), (a, y)
+            assert (sym.is_empty(sym.intersect(sym.apply_f(y), a))
+                    == sym.is_empty(sym.intersect(y, sym.apply_g(a)))), (y, a)
+
+
+def test_first_disagreement_is_exact(s):
+    # n_bound=0 reports the first disagreement without evaluating a sentence
+    for t in PARAMS:
+        want = next((n for n in range(3, 101, 2) if s.contains(n) != t.contains(n)), None)
+        report = tm.distinguish(s, t, n_bound=0)
+        assert report.witness_n == want, t
+        assert report.verdict == ("Identical" if want is None else "Inconclusive")
 
 
 MEMOIZED = (sym.union, sym.intersect, sym.complement, sym.apply_f, sym.apply_g)

@@ -3,10 +3,7 @@ import itertools
 import pytest
 
 from tensebench import relalg as ra
-from tensebench import symbolic as sym
-from tensebench import terms as tm
 from tensebench.frames import CapacityError
-from tensebench.sparam import S_EMPTY
 
 
 def one_atom_identity_structure():
@@ -147,44 +144,6 @@ class TestTriangleDualPath:
                 break
         assert failing is not None
         assert any(law == "semiassociative" for law, _ in failing.witnesses)
-
-
-class TestCompositionScheme:
-    def test_meet_scheme_on_equal_atoms(self):
-        scheme = ra.CompositionScheme(tm.parse_term("x & y"), tm.parse_term("x"))
-        a = sym.basis_a(S_EMPTY, 0, 1)
-        got = ra.rel_compose_symbolic(S_EMPTY, scheme, a, a)
-        assert sym.is_equal(got, a)
-
-    def test_meet_scheme_on_disjoint_atoms(self):
-        scheme = ra.CompositionScheme(tm.parse_term("x & y"), tm.parse_term("x"))
-        got = ra.rel_compose_symbolic(
-            S_EMPTY, scheme, sym.basis_a(S_EMPTY, 0, 1), sym.basis_a(S_EMPTY, 1, 1)
-        )
-        assert sym.is_empty(got)
-
-    def test_missing_scheme_is_a_configuration_error(self):
-        with pytest.raises(ra.ConfigurationError):
-            ra.rel_compose_symbolic(
-                S_EMPTY, None, sym.basis_a(S_EMPTY, 0, 1), sym.basis_a(S_EMPTY, 0, 1)
-            )
-
-    def test_scheme_file_roundtrip(self):
-        scheme = ra.parse_scheme("comp: f(x) & g(y)\nconv: ~x\n")
-        assert tm.format_term(scheme.comp_term) == "f(x) & g(y)"
-        assert tm.format_term(scheme.conv_term) == "~x"
-
-    def test_scheme_rejects_stray_variables(self):
-        with pytest.raises(ValueError):
-            ra.parse_scheme("comp: x & z\n")
-
-    def test_probe_reports_distinctness(self):
-        # with the placeholder meet scheme the probe runs end to end
-        scheme = ra.CompositionScheme(tm.parse_term("f(x) & f(y)"), tm.parse_term("x"))
-        a = sym.basis_a(S_EMPTY, 0, 1)
-        b = sym.basis_a(S_EMPTY, 1, 1)
-        left, right, distinct = ra.associativity_probe(S_EMPTY, scheme, a, a, b)
-        assert distinct == (not sym.is_equal(left, right))
 
 
 class TestStructureFiles:

@@ -87,10 +87,3 @@ def test_off_pattern_helpers():
     assert members == () and not infinite
     assert o.off_pattern_min(2) is None
     assert o.off_pattern_min(1) == 1
-
-
-def test_same_membership_below():
-    a = parse_sparam("{3}")
-    b = parse_sparam("{3,7}")
-    assert a.same_membership_below(b, 5)
-    assert not a.same_membership_below(b, 7)

@@ -186,7 +186,7 @@ class TestDistinguish:
 
     def test_identical(self):
         report = tm.distinguish(parse_sparam("{3}"), parse_sparam("{3}"))
-        assert report.verdict == "Identical-below-bound"
+        assert report.verdict == "Identical"
 
     def test_odd_set_vs_empty(self):
         report = tm.distinguish(parse_sparam("O"), parse_sparam("empty"))
