@@ -12,7 +12,6 @@ worker counts.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -286,19 +285,6 @@ def _oracle_agrees(s: SParameter, x: SymbolicSet, result: SymbolicSet, op: str) 
     return (want ^ got) & _ORACLE_INNER_MASK == 0
 
 
-def parallel_map(fn: Callable, items: list, jobs: int = 1) -> list:
-    """Order-preserving map, optionally across processes; results identical to
-    the serial run by construction.  The pool has at most one process per
-    item and per CPU."""
-    processes = min(jobs, len(items), os.cpu_count() or 1)
-    if processes <= 1:
-        return [fn(item) for item in items]
-    import multiprocessing
-
-    with multiprocessing.Pool(processes=processes) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (processes * 4)))
-
-
 # ---------------------------------------------------------------------------
 # the image/preimage clause audit
 
@@ -371,8 +357,7 @@ _CLAUSE_SUBJECT = {
 }
 
 
-def _fg_point(args) -> list[AuditEntry]:
-    s, p, m_max = args
+def _fg_point(s: SParameter, p: int, m_max: int) -> list[AuditEntry]:
     entries = []
     for clause in range(1, 18):
         kind, op = _CLAUSE_SUBJECT[clause]
@@ -402,13 +387,11 @@ def _fg_point(args) -> list[AuditEntry]:
 
 
 def audit_fg(
-    s: SParameter, level_lo: int = -3, level_hi: int = 3, m_max: int = 12, jobs: int = 1
+    s: SParameter, level_lo: int = -3, level_hi: int = 3, m_max: int = 12
 ) -> AuditReport:
     """Check all 17 printed image/preimage clauses on the grid, against the
     rule engine and the truncation oracle."""
-    items = [(s, p, m_max) for p in range(level_lo, level_hi + 1)]
-    chunks = parallel_map(_fg_point, items, jobs)
-    entries = [e for chunk in chunks for e in chunk]
+    entries = [e for p in range(level_lo, level_hi + 1) for e in _fg_point(s, p, m_max)]
     grid = f"p in [{level_lo},{level_hi}], m <= {m_max}"
     return _finish("fg", s, grid, entries)
 
@@ -728,8 +711,7 @@ def audit_top(s: SParameter, samples: int = 100, seed: int = DEFAULT_SEED) -> Au
 # the sentence audit
 
 
-def _sent_point(args) -> list[AuditEntry]:
-    s, p, m_max, n_max = args
+def _sent_point(s: SParameter, p: int, m_max: int, n_max: int) -> list[AuditEntry]:
     entries = []
     handle = tm.SymbolicHandle(s)
     phi_fm = tm.phi()
@@ -789,13 +771,13 @@ def _sent_point(args) -> list[AuditEntry]:
 
 def audit_sent(
     s: SParameter, m_max: int = 24, level_lo: int = -1, level_hi: int = 1,
-    n_max: int = 12, jobs: int = 1,
+    n_max: int = 12,
 ) -> AuditReport:
     """Exact phi- and tau-truth sets over the atom window, plus the printed
     operator-meet formulas, and the existence of tau witnesses."""
-    items = [(s, p, m_max, n_max) for p in range(level_lo, level_hi + 1)]
-    chunks = parallel_map(_sent_point, items, jobs)
-    entries = [e for chunk in chunks for e in chunk]
+    entries = [
+        e for p in range(level_lo, level_hi + 1) for e in _sent_point(s, p, m_max, n_max)
+    ]
     for n in range(3, n_max + 1):
         result = tm.exists_tau_witness(s, n, m_bound=m_max)
         want = s.in_pattern(n)
@@ -813,8 +795,7 @@ def audit_sent(
 # dual-path and oracle cross-validation
 
 
-def _cross_point(args) -> list[AuditEntry]:
-    s, b = args
+def _cross_point(s: SParameter, b: sym.BasisSet) -> list[AuditEntry]:
     entries = []
     x = sym.basis(s, b)
     for op, rule, table in (
@@ -839,19 +820,17 @@ def _cross_point(args) -> list[AuditEntry]:
 
 def cross_validate(
     s: SParameter, level_lo: int = -3, level_hi: int = 3, m_max: int = 12,
-    samples: int = 500, seed: int = DEFAULT_SEED, jobs: int = 1,
+    samples: int = 500, seed: int = DEFAULT_SEED,
 ) -> AuditReport:
     """Rule path = clause table = truncation oracle on the basis grid, and
     rule path = clause table on random unions."""
-    items = []
+    entries = []
     for p in range(level_lo, level_hi + 1):
         for kind in ("D", "U", "V"):
-            items.append((s, sym.BasisSet(kind, p)))
+            entries += _cross_point(s, sym.BasisSet(kind, p))
         for m in range(1, m_max + 1):
             for kind in ("A", "S", "Sbar"):
-                items.append((s, sym.BasisSet(kind, p, m)))
-    chunks = parallel_map(_cross_point, items, jobs)
-    entries = [e for chunk in chunks for e in chunk]
+                entries += _cross_point(s, sym.BasisSet(kind, p, m))
     rng = random.Random(seed)
     for i in range(samples):
         x = sample_element(rng, s)
@@ -877,3 +856,18 @@ AUDITS = {
     "sent": audit_sent,
     "cross": cross_validate,
 }
+
+# the lemmas whose samples are drawn from a seed
+_SEEDED = ("desc", "4or5", "top", "cross")
+
+
+def audit_parameter(args: tuple[SParameter, tuple[str, ...], int]) -> list[AuditReport]:
+    """The reports of the given lemmas on one parameter, in order: one work
+    item of ``tw audit``.  Running a parameter's lemmas together keeps the
+    operator memo, which holds the latest parameter only, warm.  Each lemma
+    is looked up in `AUDITS` when called, so a patched entry is the one run."""
+    s, lemmas, seed = args
+    return [
+        AUDITS[lemma](s, seed=seed) if lemma in _SEEDED else AUDITS[lemma](s)
+        for lemma in lemmas
+    ]

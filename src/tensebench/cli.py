@@ -5,7 +5,8 @@ output.
 Every run echoes its effective configuration first.  Output for identical
 invocations is byte-identical; timing goes to stderr.  Only ``audit`` and
 ``distinguish`` print differently under ``--format records``; ``search``
-accepts the option and prints records either way.  Exit codes: 0 on
+accepts the option and prints records either way, and ``search frames``
+accepts ``--jobs`` and runs in one process.  Exit codes: 0 on
 success or all-confirmed, 1 on a counterexample outside the allowlist or a
 non-separated outcome, 2 on usage errors, malformed input, exhausted
 capacity or a term too deep to evaluate.
@@ -32,6 +33,7 @@ from .frames import (
     is_total,
     parse_frame,
 )
+from .parallel import parallel_map
 from .sparam import default_family, parse_sparam
 
 
@@ -115,17 +117,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_audit(args) -> int:
     _echo(args, lemma=args.lemma, params=args.s or "default-family")
-    lemmas = list(au.AUDITS) if args.lemma == "all" else [args.lemma]
+    lemmas = tuple(au.AUDITS) if args.lemma == "all" else (args.lemma,)
+    items = [(s, lemmas, args.seed) for _, s in _family(args)]
     ok = True
-    for label, s in _family(args):
-        for lemma in lemmas:
-            fn = au.AUDITS[lemma]
-            kwargs = {}
-            if lemma in ("fg", "sent", "cross"):
-                kwargs["jobs"] = args.jobs
-            if lemma in ("desc", "4or5", "top", "cross"):
-                kwargs["seed"] = args.seed
-            report = fn(s, **kwargs)
+    for reports in parallel_map(au.audit_parameter, items, args.jobs):
+        for report in reports:
             ok = ok and report.ok
             output = report.to_records() if args.format == "records" else report.to_text()
             print(output, end="")
@@ -147,7 +143,7 @@ def _cmd_distinguish(args) -> int:
 def _cmd_search(args) -> int:
     _echo(args, constraints=getattr(args, "constraints", None) or "none", emit=args.emit)
     if args.sub == "frames":
-        report, frames = se.enumerate_total_frames(args.k, jobs=args.jobs)
+        report, frames = se.enumerate_total_frames(args.k)
         print(report.to_records(), end="")
         if args.emit == "frames":
             for frame in frames:
@@ -260,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = search_subs.add_parser("frames")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--emit", choices=("report", "frames"), default="report")
+    # one work item: --jobs is only echoed, kept because the benchmark sends it
     common(q, jobs=True)
     q.set_defaults(handler=_cmd_search)
     q = search_subs.add_parser("structures")

@@ -9,9 +9,10 @@ every permutation are marked visited, so the other members of its orbit are
 skipped (the simplest case of McKay's isomorph-free generation,
 J. Algorithms 26, 1998).  The structure search runs the axiom suite only on
 the least mask of each orbit; its representatives are found once and then
-split across workers.  Work items are independent, results are merged by
-canonical key in enumeration order, and reports are identical across worker
-counts.
+split across workers, whose results are merged by canonical key in
+enumeration order, so reports are identical across worker counts.  The
+frame search is one work item: its orbits are labeled in one pass over the
+codes with one visited array.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import relalg
-from .audit import parallel_map
 from .frames import CapacityError, Frame, FiniteTenseAlgebra, VertexId, iter_bits
+from .parallel import parallel_map
 from .relalg import AtomStructure
 
 MAX_FRAME_SIZE = 5
@@ -82,21 +83,35 @@ def _code_maps(k: int) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
     return maps
 
 
-def _total_frame_chunk(args) -> tuple[int, set[int]]:
-    """Label the orbits of the codes in [lo, hi) once each; returns the raw
-    count and the canonical keys (least adjacency matrix over all relabelings).
+def _frame_from_bits(k: int, bits: int) -> Frame:
+    vertices = [VertexId(0, i + 1) for i in range(k)]
+    edges = []
+    pos = 0
+    for i in range(k):
+        for j in range(k):
+            if bits >> pos & 1:
+                edges.append((vertices[i], vertices[j]))
+            pos += 1
+    return Frame(vertices, edges)
 
-    Total frames are closed under relabeling, so every image of a code is a
-    code of the space, and all of an orbit's codes are marked when its first
-    code in the slice is met.
+
+def enumerate_total_frames(k: int) -> tuple[SearchReport, list[Frame]]:
+    """One representative per isomorphism class of total relations on k points.
+
+    Each orbit of the codes is labeled once, by its least adjacency matrix
+    over all relabelings.  Total frames are closed under relabeling, so every
+    image of a code is a code of the space, and all of an orbit's codes are
+    marked visited when its first code is met.
     """
-    k, lo, hi = args
+    if k < 1 or k > MAX_FRAME_SIZE:
+        raise CapacityError(f"total-frame enumeration supports 1 <= k <= {MAX_FRAME_SIZE}")
+    start = time.perf_counter()
     pair_count = k * (k - 1) // 2
     loops = sum(1 << (i * k + i) for i in range(k))
     maps = _code_maps(k)
     visited = bytearray(3 ** pair_count)
-    keys = set()
-    for code in range(lo, hi):
+    found = set()
+    for code in range(len(visited)):
         if visited[code]:
             continue
         digits = []
@@ -115,41 +130,12 @@ def _total_frame_chunk(args) -> tuple[int, set[int]]:
             visited[image] = 1
             if best is None or bits < best:
                 best = bits
-        keys.add(best)
-    return hi - lo, keys
-
-
-def _frame_from_bits(k: int, bits: int) -> Frame:
-    vertices = [VertexId(0, i + 1) for i in range(k)]
-    edges = []
-    pos = 0
-    for i in range(k):
-        for j in range(k):
-            if bits >> pos & 1:
-                edges.append((vertices[i], vertices[j]))
-            pos += 1
-    return Frame(vertices, edges)
-
-
-def enumerate_total_frames(k: int, jobs: int = 1) -> tuple[SearchReport, list[Frame]]:
-    """One representative per isomorphism class of total relations on k points."""
-    if k < 1 or k > MAX_FRAME_SIZE:
-        raise CapacityError(f"total-frame enumeration supports 1 <= k <= {MAX_FRAME_SIZE}")
-    start = time.perf_counter()
-    pair_count = k * (k - 1) // 2
-    space = 3 ** pair_count
-    chunk = -(-space // max(jobs, 1))
-    items = [(k, lo, min(lo + chunk, space)) for lo in range(0, space, chunk)]
-    raw = 0
-    found: set[int] = set()
-    for count, keys in parallel_map(_total_frame_chunk, items, jobs):
-        raw += count
-        found |= keys
+        found.add(best)
     keys = sorted(found)
     frames = [_frame_from_bits(k, bits) for bits in keys]
     elapsed = (time.perf_counter() - start) * 1000
     report = SearchReport(
-        "frames", k, (), raw, len(keys),
+        "frames", k, (), len(visited), len(keys),
         tuple(f"matrix={bits:0{k * k}b}" for bits in keys), elapsed,
     )
     return report, frames

@@ -23,6 +23,7 @@ from tensebench.frames import (
     complex_f,
     complex_g,
 )
+from tensebench.parallel import parallel_map
 from tensebench.sparam import default_family
 
 FAMILY = default_family()
@@ -167,10 +168,12 @@ def test_criterion_7_separation():
 
 def test_criterion_8_sentence_audit_determinism():
     with criterion(8, "sentence audit byte-identical across runs and worker counts; truth sets exact"):
-        for _, s in FAMILY:
+        items = [(s, ("sent",), au.DEFAULT_SEED) for _, s in FAMILY]
+        serial = [reports[0] for reports in parallel_map(au.audit_parameter, items, 1)]
+        pooled = [reports[0] for reports in parallel_map(au.audit_parameter, items, 2)]
+        for (_, s), second, parallel in zip(FAMILY, serial, pooled, strict=True):
             first = au.audit_sent(s)
-            second = au.audit_sent(s)
-            assert first.to_records() == second.to_records()
+            assert first.to_records() == second.to_records() == parallel.to_records()
             assert first.to_text() == second.to_text()
             assert first.ok
             for e in first.entries:
@@ -181,8 +184,6 @@ def test_criterion_8_sentence_audit_determinism():
                     assert e.status == "Confirmed"
                 if fields.get("check") == "exists-tau":
                     assert e.status == "Confirmed"
-        parallel = au.audit_sent(FAMILY[1][1], jobs=2)
-        assert parallel.to_records() == au.audit_sent(FAMILY[1][1]).to_records()
 
 
 def test_criterion_9_minimal_relation_algebras():
@@ -225,9 +226,10 @@ def test_criterion_10_search():
         assert alg.one == 1 and alg.f(1) == 1 and alg.g(1) == 1 and alg.f(0) == 0
         report2, _ = se.enumerate_total_frames(2)
         assert report2.iso_count == 2
-        serial, _ = se.enumerate_total_frames(3, jobs=1)
-        parallel, _ = se.enumerate_total_frames(3, jobs=2)
+        serial, serial_structures = se.enumerate_atom_structures(3, jobs=1)
+        parallel, parallel_structures = se.enumerate_atom_structures(3, jobs=2)
         assert serial.to_records() == parallel.to_records()
+        assert serial_structures == parallel_structures
         for k in (1, 2, 3):
             _, frames = se.enumerate_total_frames(k)
             for frame in frames:

@@ -1,14 +1,12 @@
 """The audit reports: expected outcomes, determinism, allowlist behaviour,
 and self-certification of recorded counterexamples."""
 
-import multiprocessing
-import os
-
 import pytest
 
 from tensebench import audit as au
 from tensebench import symbolic as sym
 from tensebench.cli import main
+from tensebench.parallel import parallel_map
 from tensebench.sparam import parse_sparam
 
 
@@ -196,8 +194,15 @@ class TestSent:
         s = parse_sparam("{3,7}")
         first = au.audit_sent(s).to_records()
         second = au.audit_sent(s).to_records()
-        parallel = au.audit_sent(s, jobs=2).to_records()
-        assert first == second == parallel
+        items = [(param, ("sent",), au.DEFAULT_SEED) for param in (s, parse_sparam("{3}"))]
+
+        def records(jobs):
+            return [[report.to_records() for report in reports]
+                    for reports in parallel_map(au.audit_parameter, items, jobs)]
+
+        serial, pooled = records(1), records(2)
+        assert first == second == serial[0][0] == pooled[0][0]
+        assert serial == pooled
 
 
 class TestCross:
@@ -301,15 +306,5 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return [fn(item) for item in items]
-
-
-class TestParallelMap:
-    @pytest.mark.parametrize("cpus, items, size", [(8, 3, 3), (2, 20, 2), (None, 20, None)])
-    def test_pool_capped_by_items_and_cpus(self, monkeypatch, cpus, items, size):
-        monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert au.parallel_map(abs, list(range(-items, 0)), 10 ** 6) == list(range(items, 0, -1))
-        assert RecordingPool.sizes == ([] if size is None else [size])
+    def imap(self, fn, items):
+        return map(fn, items)

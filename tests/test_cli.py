@@ -64,6 +64,16 @@ class TestAudit:
         _, parallel, _ = run(capsys, "audit", "sent", "--s", "{3}",
                              "--format", "records", "--jobs", "2")
         assert serial.replace("jobs=1", "jobs=2") == parallel
+        _, default_seed, _ = run(capsys, "audit", "4or5", "--format", "records")
+        outputs = []
+        for jobs in ("1", "2", "3"):
+            code, out, _ = run(capsys, "audit", "4or5", "--seed", "7",
+                               "--format", "records", "--jobs", jobs)
+            assert code == 0
+            outputs.append(out.replace(f"jobs={jobs}", "jobs=N"))
+        assert outputs[0] == outputs[1] == outputs[2]
+        # the samples depend on the seed, so a worker without it would differ
+        assert outputs[0].split("\n", 1)[1] != default_seed.split("\n", 1)[1]
 
 
 class TestDistinguish:

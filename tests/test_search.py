@@ -151,9 +151,10 @@ class TestTotalFrames:
         )
 
     def test_serial_parallel_identical(self):
-        serial, _ = se.enumerate_total_frames(3, jobs=1)
-        parallel, _ = se.enumerate_total_frames(3, jobs=2)
+        serial, serial_structures = se.enumerate_atom_structures(3, jobs=1)
+        parallel, parallel_structures = se.enumerate_atom_structures(3, jobs=2)
         assert serial.to_records() == parallel.to_records()
+        assert serial_structures == parallel_structures
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
