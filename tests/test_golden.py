@@ -1,7 +1,8 @@
 """Golden stdout digests of whole CLI runs.
 
 Each case pins the sha256 of one invocation's stdout, so a refactor of the
-engine, the oracle or the searches that changes a single byte fails here.
+engine, the term evaluator, the oracle or the searches that changes a single
+byte fails here.
 The audit output is 2.3 MB, which is why digests are kept instead of files.
 """
 
@@ -22,6 +23,14 @@ GOLDEN = {
         "d3c4729d878d281516f1e921a0240d448235475533935627db700605363ffc5c",
     ("distinguish", "--s", "{7,11,23,37}", "--t", "{7,11,37}", "--format", "records"):
         "cdd2d8e59f59e935a8c0e9bd2ba554393a0913c7089ad5e7c5a71558f2205156",
+    ("eval", "--s", "{3,7}", "--term", "nu41", "--at", "A(0,1)"):
+        "8aeb5093c72e177e92f6ba92d1a674900fbacf8b11f5dfafe1908fcfbd234782",
+    ("eval", "--s", "{3,7}", "--term", "sigma", "--at", "A(0,1)"):
+        "8ea7129d299c775ddfb730308ae44d69a2ca5fd52098e0000723c1f6d811e714",
+    ("eval", "--s", "O\\{5}", "--term", "nu41", "--at", "A(0,1)"):
+        "39e3462ee217cd7a98292d44ff6a5618ae63addfc13604cc2455510767e8f966",
+    ("eval", "--s", "O\\{5}", "--term", "sigma", "--at", "A(0,1)"):
+        "62de92faf073b532d88fbe4d5188891743316c289f9f5f696e10fe8ab9d48e81",
     ("search", "frames", "--k", "4"):
         "d72f7ab42b510d56286723c4654d8d6a2d742fbba02f564e44dc2fbccf43afeb",
     ("search", "frames", "--k", "5"):
