@@ -41,6 +41,9 @@ class SParameter:
             bound -= 2
         object.__setattr__(self, "explicit", frozenset(explicit))
         object.__setattr__(self, "bound", bound)
+        # the pattern below stable_from, kept out of the fields (==, hash, repr)
+        low = _every_other((bound - 1) // 2) << 2 | sum(1 << n for n in explicit)
+        object.__setattr__(self, "_low_pattern", low)
 
     def contains(self, n: int) -> bool:
         """Membership of n in the odd set itself."""
@@ -58,11 +61,12 @@ class SParameter:
 
     def pattern_mask(self, k: int) -> int:
         """The pattern indices below k as a mask: bit n set iff in_pattern(n)."""
-        evens = _every_other((k - 1) // 2) << 2
-        odds = sum(1 << n for n in self.explicit if n < k)
-        if self.tail_in:
-            odds |= _every_other((k - self.bound - 1) // 2) << (self.bound + 2)
-        return evens | odds
+        top = self.stable_from
+        if k <= top:
+            return self._low_pattern & ((1 << max(k, 0)) - 1)
+        # from stable_from (even) on: every index if the tail is in, else the evens
+        tail = (1 << k) - (1 << top) if self.tail_in else _every_other((k - top + 1) // 2) << top
+        return self._low_pattern | tail
 
     @property
     def stable_from(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .frames import TruncationSpec, VertexId, iter_bits
 from .sparam import SParameter
@@ -173,7 +173,9 @@ class SymbolicSet:
     adjacent constant row, and a fully constant set has anchor 0.
     """
 
-    sparam: SParameter
+    # left out of the hash, which the operator memo computes on every
+    # lookup; equality still compares it, so a memo hit is exact
+    sparam: SParameter = field(hash=False)
     below_full: bool
     above_full: bool
     anchor: int

@@ -11,6 +11,7 @@ quantifiers evaluate by enumeration on finite carriers only.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -32,7 +33,11 @@ class UnsupportedQueryError(Exception):
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    @functools.cached_property
+    def _program(self) -> tuple[tuple, ...]:
+        """The term as straight-line steps, compiled on first evaluation and
+        kept on the node (not a field, so ``==`` and ``hash`` ignore it)."""
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -148,18 +153,17 @@ def sigma(var: str = "x") -> Term:
 
 
 def nu(n: int, var: str = "x") -> Term:
-    """The step terms: nu_3 = f(sigma(x)) & ~f(x), then the two-back recurrence."""
+    """The step terms: nu_3 = f(sigma(x)) & ~f(x), then the two-back recurrence
+    nu_k = f(nu_{k-1}) & ~f(nu_{k-2}).  Step k reuses the f(nu_{k-2}) node
+    that step k-1 built, so each step adds one f node."""
     if n < 3:
         raise ValueError("nu is defined for n >= 3")
-    x = Var(var)
-    sig = sigma(var)
-    prev2 = Meet(Fop(sig), Not(Fop(x)))  # nu_3
-    if n == 3:
-        return prev2
-    prev1 = Meet(Fop(prev2), Not(Fop(sig)))  # nu_4
-    for _ in range(5, n + 1):
-        prev2, prev1 = prev1, Meet(Fop(prev1), Not(Fop(prev2)))
-    return prev1
+    f_prev, f_last = Fop(Var(var)), Fop(sigma(var))
+    step = Meet(f_last, Not(f_prev))  # nu_3
+    for _ in range(4, n + 1):
+        f_prev, f_last = f_last, Fop(step)
+        step = Meet(f_last, Not(f_prev))
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +260,60 @@ class SymbolicHandle:
         raise UnsupportedQueryError("cannot enumerate an infinite carrier")
 
 
-def eval_term(t: Term, handle, env: dict):
-    """Bottom-up evaluation; shared subterms are evaluated once."""
-    cache: dict[int, object] = {}
+def _compile(t: Term) -> tuple[tuple, ...]:
+    """Steps ``(type, a, b)`` in dependency order, one per distinct node
+    object: ``a`` and ``b`` index earlier steps, or ``a`` is a Var's name."""
+    steps: list[tuple] = []
+    slots: dict[int, int] = {}
 
-    def go(node: Term):
-        if id(node) in cache:
-            return cache[id(node)]
-        if isinstance(node, Var):
-            if node.name not in env:
-                raise ValueError(f"unbound variable {node.name!r}")
-            out = env[node.name]
-        elif isinstance(node, Zero):
-            out = handle.zero()
-        elif isinstance(node, One):
-            out = handle.one()
-        elif isinstance(node, Join):
-            out = handle.join(go(node.left), go(node.right))
-        elif isinstance(node, Meet):
-            out = handle.meet(go(node.left), go(node.right))
-        elif isinstance(node, Not):
-            out = handle.neg(go(node.arg))
-        elif isinstance(node, Fop):
-            out = handle.f(go(node.arg))
-        elif isinstance(node, Gop):
-            out = handle.g(go(node.arg))
+    def go(node: Term) -> int:
+        slot = slots.get(id(node))
+        if slot is not None:
+            return slot
+        kind = type(node)
+        if kind is Var:
+            step = (Var, node.name, None)
+        elif kind in (Zero, One):
+            step = (kind, None, None)
+        elif kind in (Join, Meet):
+            step = (kind, go(node.left), go(node.right))
+        elif kind in (Not, Fop, Gop):
+            step = (kind, go(node.arg), None)
         else:
             raise TypeError(f"unknown term node {node!r}")
-        cache[id(node)] = out
-        return out
+        slot = slots[id(node)] = len(steps)
+        steps.append(step)
+        return slot
 
-    return go(t)
+    go(t)
+    return tuple(steps)
+
+
+def eval_term(t: Term, handle, env: dict):
+    """Run the term's compiled program: every node once, shared ones too."""
+    f, g, neg, meet, join = handle.f, handle.g, handle.neg, handle.meet, handle.join
+    values: list = []
+    push = values.append
+    for kind, a, b in t._program:
+        if kind is Fop:
+            push(f(values[a]))
+        elif kind is Meet:
+            push(meet(values[a], values[b]))
+        elif kind is Not:
+            push(neg(values[a]))
+        elif kind is Gop:
+            push(g(values[a]))
+        elif kind is Join:
+            push(join(values[a], values[b]))
+        elif kind is Var:
+            if a not in env:
+                raise ValueError(f"unbound variable {a!r}")
+            push(env[a])
+        elif kind is Zero:
+            push(handle.zero())
+        else:
+            push(handle.one())
+    return values[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +359,21 @@ class ExistsAtoms(Formula):
     names: tuple[str, ...]
     body: Formula
 
+    @functools.cached_property
+    def _subject(self) -> Term | None:
+        """t if the body is t = v1 | ... | vk over the quantified names."""
+        return _match_join_of_atoms(self.body, self.names) if isinstance(self.body, Eq) else None
+
 
 @dataclass(frozen=True)
 class ForallAtoms(Formula):
     names: tuple[str, ...]
     body: Formula
+
+    @functools.cached_property
+    def _subject(self) -> Term | None:
+        """t if the body is the atomhood shape t & y = 0 or t & y = t."""
+        return _match_atomhood(self.body, self.names[0]) if len(self.names) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -504,20 +541,16 @@ def _classify(fm: Formula, handle, env: dict, go) -> bool:
     """Decide an atom-relativized shape on the symbolic carrier through the
     cardinality classifier."""
     if isinstance(fm, ExistsAtoms):
-        if isinstance(fm.body, Eq):
-            subject = _match_join_of_atoms(fm.body, fm.names)
-            if subject is not None:
-                count = handle.card(eval_term(subject, handle, env))
-                return count is not None and 1 <= count <= len(fm.names)
+        if fm._subject is not None:
+            count = handle.card(eval_term(fm._subject, handle, env))
+            return count is not None and 1 <= count <= len(fm.names)
         raise UnsupportedQueryError(
             "existential over atoms is only decidable for join-of-atoms equations"
         )
     if isinstance(fm, ForallAtoms):
-        if len(fm.names) == 1:
-            subject = _match_atomhood(fm.body, fm.names[0])
-            if subject is not None:
-                count = handle.card(eval_term(subject, handle, env))
-                return count is not None and count <= 1
+        if fm._subject is not None:
+            count = handle.card(eval_term(fm._subject, handle, env))
+            return count is not None and count <= 1
         raise UnsupportedQueryError(
             "universal over atoms is only decidable for the atomhood shape"
         )

@@ -5,6 +5,7 @@ default ``--n-bound`` of ``tw distinguish``, with both tails and with
 explicit as well as co-finite sets.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -42,11 +43,11 @@ def test_params_cover_both_tails_and_large_bounds():
 
 
 def test_pattern_mask_agrees_with_in_pattern(s):
-    for k in range(0, s.stable_from + 12):
-        mask = s.pattern_mask(k)
-        assert mask >> k == 0
-        for n in range(0, k):
-            assert bool(mask >> n & 1) == s.in_pattern(n), (k, n)
+    # the pattern below stable_from is precomputed, off the dataclass fields
+    assert [f.name for f in dataclasses.fields(SParameter)] == ["explicit", "bound", "tail_in"]
+    assert s == SParameter(s.explicit, s.bound, s.tail_in)
+    for k in range(0, s.bound + 41):
+        assert s.pattern_mask(k) == sum(1 << n for n in range(1, k) if s.in_pattern(n)), k
 
 
 def test_member_matches_raw_definition(s):
@@ -135,6 +136,14 @@ def test_mixed_parameter_union_still_raises():
     for op, args in ((sym.union, (x, y)), (sym.union, (y, x)), (sym.intersect, (x, y))):
         with pytest.raises(ValueError):
             op(*args)
+
+
+def test_set_hash_leaves_out_the_parameter_but_equality_compares_it():
+    s, t = PARAMS[0], PARAMS[1]
+    x, y = sym.basis(s, sym.BasisSet("V", 0)), sym.basis(t, sym.BasisSet("V", 0))
+    assert x.rows == y.rows and hash(x) == hash(y)
+    assert x != y
+    assert sym.complement(x).sparam is s and sym.complement(y).sparam is t
 
 
 def test_no_cache_exceeds_the_cap():

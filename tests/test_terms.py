@@ -7,6 +7,7 @@ from tensebench import symbolic as sym
 from tensebench import terms as tm
 from tensebench.frames import Frame, TruncationSpec, VertexId, as_finite_algebra, build_truncation
 from tensebench.sparam import S_EMPTY, parse_sparam
+from test_random_params import PARAMS
 
 
 def atom(s, p, m):
@@ -41,8 +42,9 @@ class TestEvalTerm:
 
     def test_unbound_variable(self):
         handle = tm.SymbolicHandle(S_EMPTY)
-        with pytest.raises(ValueError):
-            tm.eval_term(tm.parse_term("x | y"), handle, {"x": sym.empty_set(S_EMPTY)})
+        for evaluate in (tm.eval_term, reference_eval):
+            with pytest.raises(ValueError, match="unbound variable 'y'"):
+                evaluate(tm.parse_term("x | y"), handle, {"x": sym.empty_set(S_EMPTY)})
 
 
 class TestStepTerms:
@@ -253,3 +255,145 @@ class TestOracleAgreement:
                 want = {v for v in frame.vertices
                         if value >> frame.ordinal(v) & 1 and inner.contains(v)}
                 assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against a plain tree walk
+
+
+def reference_eval(t, handle, env):
+    """The reference: walk the term as a tree, shared nodes once per path."""
+    if isinstance(t, tm.Var):
+        if t.name not in env:
+            raise ValueError(f"unbound variable {t.name!r}")
+        return env[t.name]
+    if isinstance(t, tm.Zero):
+        return handle.zero()
+    if isinstance(t, tm.One):
+        return handle.one()
+    if isinstance(t, tm.Join):
+        return handle.join(reference_eval(t.left, handle, env), reference_eval(t.right, handle, env))
+    if isinstance(t, tm.Meet):
+        return handle.meet(reference_eval(t.left, handle, env), reference_eval(t.right, handle, env))
+    op = {tm.Not: handle.neg, tm.Fop: handle.f, tm.Gop: handle.g}[type(t)]
+    return op(reference_eval(t.arg, handle, env))
+
+
+def random_shared_term(rng, size, names=("x", "y")):
+    """A term DAG: each new node takes its children from all earlier nodes,
+    so subterms are shared; the last node is returned."""
+    pool = [tm.Var(n) for n in names] + [tm.ZERO, tm.ONE]
+    for _ in range(size):
+        kind = rng.choice([tm.Join, tm.Meet, tm.Not, tm.Fop, tm.Gop, tm.Fop, tm.Gop])
+        if kind in (tm.Join, tm.Meet):
+            pool.append(kind(rng.choice(pool), rng.choice(pool)))
+        else:
+            pool.append(kind(rng.choice(pool)))
+    return pool[-1]
+
+
+def random_finite_algebra(rng, k):
+    vertices = [VertexId(0, i) for i in range(1, k + 1)]
+    edges = [(u, v) for u in vertices for v in vertices if rng.random() < 0.4]
+    return as_finite_algebra(Frame(vertices, edges))
+
+
+class TestCompiledEvaluator:
+    def test_equals_reference_on_finite_algebras(self):
+        rng = random.Random(2006)
+        for _ in range(60):
+            handle = tm.FiniteHandle(random_finite_algebra(rng, rng.randint(1, 5)))
+            term = random_shared_term(rng, rng.randint(1, 14))
+            for _ in range(4):
+                env = {"x": rng.randrange(handle.one() + 1), "y": rng.randrange(handle.one() + 1)}
+                assert tm.eval_term(term, handle, env) == reference_eval(term, handle, env)
+
+    @pytest.mark.parametrize("s", PARAMS, ids=str)
+    def test_equals_reference_on_random_params(self, s):
+        rng = random.Random(f"programs {s}")
+        handle = tm.SymbolicHandle(s)
+        for _ in range(4):
+            term = random_shared_term(rng, rng.randint(1, 8))
+            x, _ = random_element(rng, s, max_index=s.stable_from + 4)
+            y, _ = random_element(rng, s, max_index=s.stable_from + 4)
+            env = {"x": x, "y": y}
+            assert tm.eval_term(term, handle, env) == reference_eval(term, handle, env)
+        a1 = atom(s, 0, 1)
+        for term in (tm.sigma(), tm.nu(6)):
+            assert tm.eval_term(term, handle, {"x": a1}) == reference_eval(term, handle, {"x": a1})
+
+    def test_program_runs_each_shared_node_once(self):
+        x = tm.Var("x")
+        shared = tm.Fop(x)
+        term = tm.Join(tm.Meet(shared, tm.Not(shared)), shared)
+        assert [step[0] for step in term._program] == [tm.Var, tm.Fop, tm.Not, tm.Meet, tm.Join]
+        assert term._program is term._program  # compiled once, kept on the node
+        assert term == tm.Join(tm.Meet(tm.Fop(x), tm.Not(tm.Fop(x))), tm.Fop(x))
+
+
+class CountingHandle(tm.FiniteHandle):
+    def __init__(self, alg):
+        super().__init__(alg)
+        self.f_calls = 0
+
+    def f(self, a):
+        self.f_calls += 1
+        return super().f(a)
+
+
+def old_nu(n, var="x"):
+    """nu as built before its steps shared their f nodes: two new f per step."""
+    x = tm.Var(var)
+    sig = tm.sigma(var)
+    prev2 = tm.Meet(tm.Fop(sig), tm.Not(tm.Fop(x)))
+    if n == 3:
+        return prev2
+    prev1 = tm.Meet(tm.Fop(prev2), tm.Not(tm.Fop(sig)))
+    for _ in range(5, n + 1):
+        prev2, prev1 = prev1, tm.Meet(tm.Fop(prev1), tm.Not(tm.Fop(prev2)))
+    return prev1
+
+
+class TestSharedNuSteps:
+    # == walks the DAG as a tree, whose size grows like Fibonacci in n
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_same_ast_as_the_old_recurrence(self, n):
+        assert tm.nu(n) == old_nu(n)
+
+    def test_one_f_node_per_step(self):
+        # sigma has 9 f nodes and nu_3 adds f(sigma) and f(x); each later step adds one
+        handle = CountingHandle(two_element_identity_algebra())
+        for n in range(3, 42):
+            handle.f_calls = 0
+            tm.eval_term(tm.nu(n), handle, {"x": 1})
+            assert handle.f_calls == n + 8, n
+
+
+class TestQuantifierShapes:
+    @pytest.mark.parametrize("text", [
+        "exists_atom w . f(w) = w",
+        "exists_atom w y . x = w",
+        "exists_atom w . f(w) = w | x",
+        "exists_atom w . x != w",
+        "forall_atom y z . x & y = 0 or x & y = x",
+        "forall_atom y . x & y = 0",
+        "forall_atom y . y & y = 0 or y & y = y",
+        "forall_atom y . x & y = 0 or x & y = f(x)",
+    ])
+    def test_unsupported_shapes_still_rejected(self, text):
+        handle = tm.SymbolicHandle(S_EMPTY)
+        fm = tm.parse_formula(text)
+        for _ in range(2):  # the matched shape is kept on the node; it must reject again
+            with pytest.raises(tm.UnsupportedQueryError):
+                tm.eval_formula(fm, handle, {"x": atom(S_EMPTY, 0, 1)})
+
+    def test_subject_is_matched_once_per_node(self):
+        fm = tm.phi()
+        exists = fm.right.arg
+        assert isinstance(exists, tm.ExistsAtoms)
+        assert exists._subject is exists.body.left  # f(x) & g(x), the node itself
+        forall = fm.left.right
+        assert forall._subject is forall.body.left.left.left  # x in x & y
+        handle = tm.SymbolicHandle(S_EMPTY)
+        assert tm.eval_formula(fm, handle, {"x": atom(S_EMPTY, 0, 1)})
+        assert exists.__dict__["_subject"] is exists.body.left
