@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import symbolic as sym
 from .frames import FiniteTenseAlgebra
@@ -35,8 +34,8 @@ class UnsupportedQueryError(Exception):
 class Term:
     @functools.cached_property
     def _program(self) -> tuple[tuple, ...]:
-        """The term as straight-line steps, compiled on first evaluation and
-        kept on the node (not a field, so ``==`` and ``hash`` ignore it)."""
+        """The term as straight-line steps, compiled on first use and kept
+        on the node (not a field, so ``==`` and ``hash`` ignore it)."""
         return _compile(self)
 
 
@@ -86,46 +85,24 @@ ZERO = Zero()
 ONE = One()
 
 
-def iter_terms(t: Term) -> Iterator[Term]:
-    """All subterm objects, each once (the AST may be a shared DAG)."""
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        for attr in ("left", "right", "arg"):
-            child = getattr(node, attr, None)
-            if child is not None:
-                stack.append(child)
-
-
 def free_vars(t: Term) -> frozenset[str]:
-    return frozenset(node.name for node in iter_terms(t) if isinstance(node, Var))
+    return frozenset(a for kind, a, _ in t._program if kind is Var)
 
 
 def modal_depth(t: Term) -> int:
     """Maximal nesting of f/g along any path; bounds how far one evaluation
     can look in the frame, hence the oracle comparison margin."""
-    depths: dict[int, int] = {}
-
-    def go(node: Term) -> int:
-        if id(node) in depths:
-            return depths[id(node)]
-        if isinstance(node, (Var, Zero, One)):
-            d = 0
-        elif isinstance(node, (Join, Meet)):
-            d = max(go(node.left), go(node.right))
-        elif isinstance(node, Not):
-            d = go(node.arg)
+    depths: list[int] = []
+    for kind, a, b in t._program:
+        if kind in (Var, Zero, One):
+            depths.append(0)
+        elif kind in (Join, Meet):
+            depths.append(max(depths[a], depths[b]))
+        elif kind is Not:
+            depths.append(depths[a])
         else:
-            d = 1 + go(node.arg)
-        depths[id(node)] = d
-        return d
-
-    return go(t)
+            depths.append(depths[a] + 1)
+    return depths[-1]
 
 
 def _apply_n(ctor, n: int, t: Term) -> Term:
