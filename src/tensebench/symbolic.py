@@ -21,6 +21,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .frames import TruncationSpec, VertexId, iter_bits
 from .sparam import SParameter
@@ -29,8 +30,7 @@ from .sparam import SParameter
 # canonical rows
 
 
-@dataclass(frozen=True, slots=True)
-class Row:
+class Row(NamedTuple):
     """Canonical description of one level's index set.
 
     Denotes the indices whose bits are set in the int mask ``prefix`` (bit n
@@ -38,6 +38,10 @@ class Row:
     ``pat_tail``) and all off-pattern indices (if ``off_tail``).  Canonical
     form: prefix has bits only in [1, start); start is minimal; ``off_tail``
     is set only when the off-pattern tail is infinite.
+
+    A NamedTuple, not a dataclass, so that hashing and equality run in C:
+    every operator memo key hashes the rows of its sets, and the row
+    operations compare rows on every call.
     """
 
     prefix: int
@@ -105,11 +109,23 @@ def _row_binary(s: SParameter, a: Row, b: Row, op) -> Row:
     return make_row(s, members, base, op(a.pat_tail, b.pat_tail), op(a.off_tail, b.off_tail))
 
 
+# Every stored row is canonical, so the identities below return a canonical
+# row without canonicalizing again.
+
+
 def row_union(s, a, b):
+    if a == b or b == EMPTY_ROW or a == FULL_ROW:
+        return a
+    if a == EMPTY_ROW or b == FULL_ROW:
+        return b
     return _row_binary(s, a, b, operator.or_)
 
 
 def row_intersect(s, a, b):
+    if a == b or b == FULL_ROW or a == EMPTY_ROW:
+        return a
+    if a == FULL_ROW or b == EMPTY_ROW:
+        return b
     return _row_binary(s, a, b, operator.and_)
 
 
@@ -230,7 +246,7 @@ def is_equal(x: SymbolicSet, y: SymbolicSet) -> bool:
 
 
 def _check_same_param(x: SymbolicSet, y: SymbolicSet):
-    if x.sparam != y.sparam:
+    if x.sparam is not y.sparam and x.sparam != y.sparam:
         raise ValueError("operands built over different S-parameters")
 
 
@@ -243,7 +259,8 @@ def _span(x: SymbolicSet) -> tuple[int, int] | None:
 
 
 # union, intersect, complement, apply_f and apply_g are memoized on their
-# arguments: canonical forms make structural equality a sound key.  The
+# arguments: canonical forms make structural equality a sound key.  A key
+# hashes the sets' rows, which are NamedTuples so that this runs in C.  The
 # tables hold results for the parameter of the latest call only.  The cap
 # was set by measurement (2-core Xeon, Python 3.11): 4096 raised the audit
 # benchmark's peak RSS by up to 4%, 1024 by about 1%, at the same
@@ -353,40 +370,49 @@ class BasisSet:
 def basis(s: SParameter, b: BasisSet) -> SymbolicSet:
     p, m = b.level, b.index
     if b.kind == "A":
-        return _make_set(s, False, False, p, [make_row(s, 1 << m, m + 1, False, False)])
+        return basis_a(s, p, m)
     if b.kind == "S":
-        return _make_set(s, False, False, p, [pattern_row(s, m)])
+        return basis_srow(s, p, m)
     if b.kind == "Sbar":
-        return _make_set(s, False, False, p, [off_pattern_row(s, m)])
+        return basis_sbar(s, p, m)
     if b.kind == "V":
-        return _make_set(s, False, False, p, [FULL_ROW])
+        return basis_vrow(s, p)
     if b.kind == "D":
-        return SymbolicSet(s, True, False, p + 1, ())
-    return SymbolicSet(s, False, True, p, ())  # U
+        return basis_d(s, p)
+    return basis_u(s, p)
+
+
+# The helpers below take level p and index m >= 1 unchecked; ``basis``
+# validates them through ``BasisSet``.
 
 
 def basis_a(s, p, m):
-    return basis(s, BasisSet("A", p, m))
+    """A(p,m); the row is canonical as built, since bit m is its top bit."""
+    return SymbolicSet(s, False, False, p, (Row(1 << m, m + 1, False, False),))
 
 
 def basis_srow(s, p, m):
-    return basis(s, BasisSet("S", p, m))
+    """S(p,m); never empty, as the pattern holds every even index."""
+    return SymbolicSet(s, False, False, p, (pattern_row(s, m),))
 
 
 def basis_sbar(s, p, m):
-    return basis(s, BasisSet("Sbar", p, m))
+    row = off_pattern_row(s, m)
+    if row == EMPTY_ROW:  # a finite off-pattern class may end below m
+        return empty_set(s)
+    return SymbolicSet(s, False, False, p, (row,))
 
 
 def basis_vrow(s, p):
-    return basis(s, BasisSet("V", p))
+    return SymbolicSet(s, False, False, p, (FULL_ROW,))
 
 
 def basis_d(s, p):
-    return basis(s, BasisSet("D", p))
+    return SymbolicSet(s, True, False, p + 1, ())
 
 
 def basis_u(s, p):
-    return basis(s, BasisSet("U", p))
+    return SymbolicSet(s, False, True, p, ())
 
 
 # ---------------------------------------------------------------------------

@@ -239,30 +239,38 @@ class SymbolicHandle:
 
 def _compile(t: Term) -> tuple[tuple, ...]:
     """Steps ``(type, a, b)`` in dependency order, one per distinct node
-    object: ``a`` and ``b`` index earlier steps, or ``a`` is a Var's name."""
+    object: ``a`` and ``b`` index earlier steps, or ``a`` is a Var's name.
+
+    The walk keeps its own stack, so a term's depth is bounded by memory,
+    not by Python's recursion limit.  A node is visited twice: first to
+    stack its children (left on top), then, with their slots known, to
+    emit its step; the order is that of a recursive post-order walk."""
     steps: list[tuple] = []
     slots: dict[int, int] = {}
-
-    def go(node: Term) -> int:
-        slot = slots.get(id(node))
-        if slot is not None:
-            return slot
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in slots:
+            continue
         kind = type(node)
         if kind is Var:
             step = (Var, node.name, None)
         elif kind in (Zero, One):
             step = (kind, None, None)
         elif kind in (Join, Meet):
-            step = (kind, go(node.left), go(node.right))
+            if not ready:
+                stack += [(node, True), (node.right, False), (node.left, False)]
+                continue
+            step = (kind, slots[id(node.left)], slots[id(node.right)])
         elif kind in (Not, Fop, Gop):
-            step = (kind, go(node.arg), None)
+            if not ready:
+                stack += [(node, True), (node.arg, False)]
+                continue
+            step = (kind, slots[id(node.arg)], None)
         else:
             raise TypeError(f"unknown term node {node!r}")
-        slot = slots[id(node)] = len(steps)
+        slots[id(node)] = len(steps)
         steps.append(step)
-        return slot
-
-    go(t)
     return tuple(steps)
 
 

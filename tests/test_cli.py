@@ -2,6 +2,7 @@ import argparse
 
 import pytest
 
+from tensebench import terms as tm
 from tensebench.cli import build_parser, main
 
 
@@ -276,18 +277,27 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("eval", "--s", "empty", "--term", "nu600", "--at", "A(0,1)"),
-        ("distinguish", "--s", "{501}", "--t", "empty", "--n-bound", "501"),
+    @pytest.mark.parametrize("argv, answer, evaluator", [
+        (("eval", "--s", "empty", "--term", "nu600", "--at", "A(0,1)"),
+         "A(0,600)", "eval_term"),
+        (("distinguish", "--s", "{501}", "--t", "empty", "--n-bound", "501"),
+         "verdict=Separated", "distinguish"),
     ], ids=["eval", "distinguish"])
-    def test_too_deep_term_exit_two(self, capsys, argv):
-        try:
-            code, _, err = run(capsys, *argv)
-        except RecursionError:  # asserted outside the handler: its traceback is huge
-            code = err = None
+    def test_too_deep_term_exit_two(self, capsys, monkeypatch, argv, answer, evaluator):
+        # terms compile with their own stack, so these depths evaluate
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == answer
+
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(tm, evaluator, too_deep)
+        code, out, err = run(capsys, *argv)
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error: term too deep")
         assert "Traceback" not in err
+        assert answer not in out
 
     @pytest.mark.parametrize("argv", [
         ("eval", "--s", "empty", "--term", "sigma", "--at", "A(0,1)", "--format", "text"),

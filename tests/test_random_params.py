@@ -6,6 +6,7 @@ explicit as well as co-finite sets.
 """
 
 import dataclasses
+import operator
 import random
 
 import pytest
@@ -68,6 +69,61 @@ def test_operations_stay_canonical(s):
         for result in (sym.union(x, y), sym.intersect(x, y), sym.complement(x),
                        sym.apply_f(x), sym.apply_g(x)):
             assert sym.validate_canonical(result)
+
+
+def _raw_row(s, r, top):
+    return {n for n in range(1, top) if sym.row_contains(s, r, n)}
+
+
+def test_row_shortcuts_match_raw_operations(s):
+    # row_union and row_intersect answer the identities with EMPTY_ROW,
+    # FULL_ROW and equal operands without canonicalizing; every result must
+    # still be the canonical row _row_binary builds
+    rng = random.Random(f"{SEED} rows {s}")
+    rows = {sym.EMPTY_ROW, sym.FULL_ROW}
+    for _ in range(6):
+        x, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        rows.update(x.rows)
+    rows = sorted(rows)
+    top = s.stable_from + 8
+    every = set(range(1, top))
+    raw = {r: _raw_row(s, r, top) for r in rows}
+    for a in rows:
+        assert _raw_row(s, sym.row_complement(s, a), top) == every - raw[a]
+        for b in rows:
+            union, meet = sym.row_union(s, a, b), sym.row_intersect(s, a, b)
+            assert _raw_row(s, union, top) == raw[a] | raw[b], (a, b)
+            assert _raw_row(s, meet, top) == raw[a] & raw[b], (a, b)
+            assert union == sym._row_binary(s, a, b, operator.or_), (a, b)
+            assert meet == sym._row_binary(s, a, b, operator.and_), (a, b)
+
+
+def test_basis_helpers_equal_the_make_row_construction(s):
+    # the construction the helpers had before they built their sets directly
+    def old(kind, p, m=None):
+        if kind == "D":
+            return sym.SymbolicSet(s, True, False, p + 1, ())
+        if kind == "U":
+            return sym.SymbolicSet(s, False, True, p, ())
+        row = {
+            "A": lambda: sym.make_row(s, 1 << m, m + 1, False, False),
+            "S": lambda: sym.make_row(s, 0, m, True, False),
+            "Sbar": lambda: sym.make_row(s, 0, max(m, 2), False, True),
+            "V": lambda: sym.FULL_ROW,
+        }[kind]()
+        return sym._make_set(s, False, False, p, [row])
+
+    indexed = {"A": sym.basis_a, "S": sym.basis_srow, "Sbar": sym.basis_sbar}
+    level_only = {"V": sym.basis_vrow, "D": sym.basis_d, "U": sym.basis_u}
+    for p in range(-3, 4):
+        cases = [(kind, helper, (p, m)) for kind, helper in indexed.items()
+                 for m in range(1, s.stable_from + 5)]
+        cases += [(kind, helper, (p,)) for kind, helper in level_only.items()]
+        for kind, helper, args in cases:
+            got = helper(s, *args)
+            assert got == old(kind, *args), (kind, args)
+            assert got == sym.basis(s, sym.BasisSet(kind, *args)), (kind, args)
+            assert sym.validate_canonical(got)
 
 
 def test_rule_path_equals_clause_table(s):
