@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -46,3 +47,41 @@ def random_element(rng: random.Random, s, max_parts: int = 6, max_index: int = 1
     for b in parts:
         out = sym.union(out, sym.basis(s, b))
     return out, parts
+
+
+def seeded_structure(k: int, seed: int, mode: str, p: float):
+    """A seeded atom structure over k atoms with identity atom 0.
+
+    ``raw``: each of the k^3 triples is a cycle with probability p, nothing
+    forced.  ``closed``: the forced identity cycles plus random diversity
+    triples, closed under the six Peirce transforms.  ``dropped``: a closed
+    set with one diversity cycle removed.  Only ``Random.random`` and
+    ``Random.randrange`` are drawn, so the structures repeat across Python
+    versions."""
+    from tensebench.relalg import AtomStructure
+
+    rng = random.Random(seed)
+    converse = list(range(k))
+    free = list(range(1, k))
+    while len(free) >= 2 and rng.random() < 0.5:
+        a = free.pop(rng.randrange(len(free)))
+        b = free.pop(rng.randrange(len(free)))
+        converse[a], converse[b] = b, a
+    atoms = range(k) if mode == "raw" else range(1, k)
+    cycles = {t for t in itertools.product(atoms, repeat=3) if rng.random() < p}
+    if mode != "raw":
+        for a in range(k):
+            cycles |= {(0, a, a), (a, 0, a), (a, converse[a], 0)}
+        frontier = set(cycles)
+        while frontier:
+            images = set()
+            for a, b, c in frontier:
+                ca, cb, cc = converse[a], converse[b], converse[c]
+                images |= {(ca, c, b), (c, cb, a), (b, cc, ca), (cc, a, cb), (cb, ca, cc)}
+            frontier = images - cycles
+            cycles |= frontier
+    if mode == "dropped":
+        diversity = sorted(t for t in cycles if 0 not in t)
+        if diversity:
+            cycles.remove(diversity[rng.randrange(len(diversity))])
+    return AtomStructure(k, tuple(converse), frozenset({0}), frozenset(cycles))

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from conftest import seeded_structure
 from tensebench.cli import main
 
 GOLDEN = {
@@ -48,3 +49,64 @@ def test_stdout_digest(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+# `tw relalg axioms --in structure.txt` on seeded structures (see
+# `conftest.seeded_structure`), keyed by (k, seed, mode, p).  Between them the
+# outputs print a witness line for every law that can fail.
+AXIOMS_GOLDEN = {
+    (1, 0, "closed", 0.1):
+        "18291cec0a94f77c19f5e3bc65525ec9886275f157add61435920608db4356cb",
+    (1, 0, "raw", 0.1):
+        "2b0dd2185b880ef7e2e25b05474d55ef98260024b15d5bb305fe788d0d779d2a",
+    (2, 0, "raw", 0.3):
+        "8526a21cc03c7893cf27dbead5f397fc6c36db0112edae48b8e1588f9eff8694",
+    (3, 0, "closed", 0.1):
+        "e19a4fa5f8ddead1a1afce93a73d03af4ce8f0da20b6a105f5a459c78bfc394a",
+    (3, 1, "raw", 0.3):
+        "7e5de26a2b571f571292933a05c22294aaf9920f7c3020d86b91de97496a954e",
+    (3, 3, "dropped", 0.3):
+        "f4babc60789e0bd66d4ab553d75a156b18aa31f03b4192ef8dc982bee59e385c",
+    (4, 0, "closed", 0.6):
+        "e494869f983955029f9c7503f455cf9c7f7354ba704f62fbd2425cdfedba0ba0",
+    (4, 1, "dropped", 0.6):
+        "8f1cd6fa0127b9cc659b25e931b4d182dfbd60aae533635985df4d1474669486",
+    (4, 3, "closed", 0.1):
+        "f4347b1d3c6ea3b0411c133fcace8f9705810952a74c9853943197390638d962",
+    (5, 0, "dropped", 0.1):
+        "74c49a23dfa438db5f2591e24f4d2de69582b5fcc6a567ffad3ec0ac8b818c9c",
+    (5, 1, "raw", 0.2):
+        "196d0a345914b1cb31566a43d97f4c3c0b55619abf4d2316ff13e1e6338d33e5",
+    (5, 4, "closed", 0.3):
+        "6a89eabd7786ab8aa774940af8d953cf3d7fad48f3ce873e2f141044fe2ebb32",
+    (5, 5, "dropped", 0.3):
+        "97d423cb4c4ab6ac563e5315a5d454703343099cb0d0f5e52f17de08c3e7240f",
+}
+
+
+def axioms_stdout(capsys, monkeypatch, tmp_path, case):
+    # a fixed relative path, so the echoed `infile=` is the same on every run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "structure.txt").write_text(seeded_structure(*case).to_text())
+    code = main(["relalg", "axioms", "--in", "structure.txt"])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", list(AXIOMS_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_relalg_axioms_digest(capsys, monkeypatch, tmp_path, case):
+    out = axioms_stdout(capsys, monkeypatch, tmp_path, case)
+    assert hashlib.sha256(out.encode()).hexdigest() == AXIOMS_GOLDEN[case]
+
+
+def test_relalg_axioms_cases_print_every_witness_law(capsys, monkeypatch, tmp_path):
+    laws = set()
+    for case in AXIOMS_GOLDEN:
+        out = axioms_stdout(capsys, monkeypatch, tmp_path, case)
+        laws |= {line.split()[1] for line in out.splitlines() if line.startswith("witness")}
+    assert laws == {
+        f"law={law}" for law in (
+            "identity", "triangle-atoms", "triangle-elements", "semiassociative",
+            "associative", "reflexive", "symmetric", "subadditive",
+        )
+    }
