@@ -16,6 +16,9 @@ a composition term in ``x`` and ``y`` is evaluated like any other term, by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from array import array
+from functools import cached_property
+from operator import or_
 
 from .frames import CapacityError
 
@@ -120,6 +123,35 @@ class FiniteRelAlgebra:
             rest ^= low
         return out
 
+    @cached_property
+    def table(self) -> tuple[array, ...]:
+        """The composition table: ``table[x][y] == compose(x, y)`` for every
+        pair of elements, built once per algebra.  Rows are ``array('H')``,
+        two bytes an entry (enough for 16 atoms), so a table at the 12-atom
+        cap takes 32 MB rather than about 600 MB of int objects.
+
+        ``compose`` joins the products of every atom of x with every atom of
+        y, so it is additive in each argument: splitting off the lowest bit,
+        x;y = ((x ^ low);y) | (low;y), and likewise in y.  Row x is therefore
+        the entrywise OR of rows ``x ^ low`` and ``low``, and an atom's entry
+        at y is the OR of its entries at ``y ^ lo`` and ``lo``, read from
+        ``comp_atom``.  Row 0 and column 0 are the empty join 0.  That is
+        |E|^2 ORs and no call of ``compose``."""
+        n = self.one + 1
+        rows = [array('H', bytes(2 * n))]
+        for x in range(1, n):
+            low = x & -x
+            if x != low:
+                rows.append(array('H', map(or_, rows[x ^ low], rows[low])))
+                continue
+            products = self.comp_atom[x.bit_length() - 1]
+            row = [0] * n
+            for y in range(1, n):
+                lo = y & -y
+                row[y] = row[y ^ lo] | products[lo.bit_length() - 1]
+            rows.append(array('H', row))
+        return tuple(rows)
+
     def converse(self, x: int) -> int:
         out = 0
         rest = x
@@ -197,16 +229,60 @@ def triangle_by_atoms(structure: AtomStructure) -> tuple[bool, str | None]:
 def triangle_by_elements(alg: FiniteRelAlgebra) -> tuple[bool, str | None]:
     """Ground-truth check: the three zero-conditions over all element triples.
 
-    Each product is looked up in a table built once from `compose`, so the
-    cost is |E|^2 compositions instead of 2|E|^3 + |E|^2."""
+    For every x, y, z the meets x;y & z, x˘;z & y and z;y˘ & x must be 0
+    together or nonzero together.  Each pair (x, y) decides every z at once
+    on ints that hold one slot of k+1 bits per element z, slot z starting at
+    bit z(k+1):
+    - ``ids`` holds z in slot z, and ``spread[v]`` holds v in every slot;
+    - ``rows[x]`` holds x;z in slot z, and ``cols[y]`` holds z;y.
+
+    So ``spread[x;y] & ids``, ``rows[x˘] & spread[y]`` and
+    ``cols[y˘] & spread[x]`` hold the three meets for every z.  A meet fits
+    in the low k bits of its slot.  Adding ``ones`` (2^k - 1 in every slot)
+    sets a slot's top bit exactly when its meet is nonzero, and never
+    carries into the next slot, because (2^k - 1) + (2^k - 1) < 2^(k+1):
+    the spare bit holds the carry.  Masking with ``tops`` leaves one flag
+    per z.  Where the three flag words differ, the scalar loop over z finds
+    the first failing z, so the witness names the triple that a loop over
+    every triple in order would name first."""
+    k = alg.atom_count
+    width = k + 1
     elements = alg.elements()
-    table = [[alg.compose(x, y) for y in elements] for x in elements]
+    table = alg.table
     conv = [alg.converse(x) for x in elements]
+    unit = sum(1 << (width * z) for z in elements)
+    ones = unit * ((1 << k) - 1)
+    tops = unit << k
+    ids = sum(z << (width * z) for z in elements)
+    spread = [v * unit for v in elements]
+    # packed rows and columns are additive like the table, so only the
+    # atoms' are packed from table entries
+    rows = [0] * len(elements)
+    cols = [0] * len(elements)
+    for v in elements[1:]:
+        low = v & -v
+        if v != low:
+            rows[v] = rows[v ^ low] | rows[low]
+            cols[v] = cols[v ^ low] | cols[low]
+            continue
+        for z in elements:
+            rows[v] |= table[v][z] << (width * z)
+            cols[v] |= table[z][v] << (width * z)
+    left_flags = [((s & ids) + ones) & tops for s in spread]
+    right_cols = [cols[c] for c in conv]
     for x in elements:
         row = table[x]
-        conv_row = table[conv[x]]
+        mid_row = rows[conv[x]]
+        spread_x = spread[x]
         for y in elements:
+            left = left_flags[row[y]]
+            if (
+                left == ((mid_row & spread[y]) + ones) & tops
+                and left == ((right_cols[y] & spread_x) + ones) & tops
+            ):
+                continue
             xy = row[y]
+            conv_row = table[conv[x]]
             cy = conv[y]
             for z in elements:
                 left = xy & z == 0
@@ -267,10 +343,11 @@ def check_axioms(alg: FiniteRelAlgebra, structure: AtomStructure | None = None) 
             note("boolean", str(x))
             break
 
+    table = alg.table
     identity_ok = True
     e = alg.identity
     for x in alg.elements():
-        if alg.compose(e, x) != x or alg.compose(x, e) != x:
+        if table[e][x] != x or table[x][e] != x:
             identity_ok = False
             note("identity", str(x))
             break
@@ -292,18 +369,19 @@ def check_axioms(alg: FiniteRelAlgebra, structure: AtomStructure | None = None) 
 
     semi_ok = True
     for x in alg.elements():
-        x1 = alg.compose(x, alg.one)
-        if alg.compose(x1, alg.one) != x1:
+        x1 = table[x][alg.one]
+        if table[x1][alg.one] != x1:
             semi_ok = False
             note("semiassociative", str(x))
             break
 
     assoc_ok = True
-    for a in alg.atoms():
-        for b in alg.atoms():
-            ab = alg.compose(a, b)
-            for c in alg.atoms():
-                if alg.compose(ab, c) != alg.compose(a, alg.compose(b, c)):
+    atoms = alg.atoms()
+    for a in atoms:
+        for b in atoms:
+            ab = table[a][b]
+            for c in atoms:
+                if table[ab][c] != table[a][table[b][c]]:
                     assoc_ok = False
                     note("associative", f"{a},{b},{c}")
                     break
@@ -314,7 +392,7 @@ def check_axioms(alg: FiniteRelAlgebra, structure: AtomStructure | None = None) 
 
     reflexive_ok = True
     for x in alg.elements():
-        if x & alg.compose(x, x) != x:
+        if x & table[x][x] != x:
             reflexive_ok = False
             note("reflexive", str(x))
             break
@@ -327,7 +405,7 @@ def check_axioms(alg: FiniteRelAlgebra, structure: AtomStructure | None = None) 
     for x in alg.elements():
         nx = alg.neg(x)
         for y in alg.elements():
-            lhs = alg.compose(x, nx & y)
+            lhs = table[x][nx & y]
             if lhs | (x | y) != (x | y):
                 subadd_ok = False
                 note("subadditive", f"{x},{y}")

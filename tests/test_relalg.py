@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from conftest import seeded_structure
+from test_search import search_raw_structures
 from tensebench import relalg as ra
 from tensebench.frames import CapacityError
 
@@ -164,3 +166,103 @@ class TestStructureFiles:
         again = ra.expand(structure)
         assert again.comp_atom == alg.comp_atom
         assert again.identity == alg.identity
+
+
+def table_inputs():
+    """Every structure of ``all_raw_structures`` for k <= 3, every raw
+    structure of the 4-atom search (``all_raw_structures(4)`` has 2^28
+    members), 40 seeded k=4 structures that are not triangle-closed, and
+    the five algebras built directly."""
+    for k in (1, 2, 3):
+        for structure in all_raw_structures(k):
+            yield ra.expand(structure)
+    for _, _, structure in search_raw_structures(4):
+        yield ra.expand(structure)
+    for seed in range(40):
+        yield ra.expand(seeded_structure(4, seed, ("raw", "dropped")[seed % 2], 0.3))
+    yield ra.proper_algebra(1)
+    yield ra.proper_algebra(2)
+    for base in (1, 2, 3):
+        yield ra.minimal_point_algebra(base)
+
+
+def reference_triangle(alg):
+    """The element-level triangle check as a plain loop over every triple,
+    on a table built from ``compose``: the definition the packed check in
+    ``triangle_by_elements`` must reproduce, witness included."""
+    elements = alg.elements()
+    table = [[alg.compose(x, y) for y in elements] for x in elements]
+    conv = [alg.converse(x) for x in elements]
+    for x in elements:
+        row = table[x]
+        conv_row = table[conv[x]]
+        for y in elements:
+            xy = row[y]
+            cy = conv[y]
+            for z in elements:
+                left = xy & z == 0
+                mid = conv_row[z] & y == 0
+                right = table[z][cy] & x == 0
+                if not (left == mid == right):
+                    return False, f"elements {x},{y},{z}: {left}/{mid}/{right}"
+    return True, None
+
+
+# 200 seeded cycle sets over k = 1..5 atoms; k = 5 has 32 elements, the cap
+# of the element-level check
+RANDOM_CASES = [
+    (1 + i % 5, i, ("raw", "dropped", "closed")[i % 3], (0.05, 0.2, 0.5)[i // 5 % 3])
+    for i in range(200)
+]
+
+
+class TestCompositionTable:
+    def test_table_is_compose(self):
+        count = 0
+        for alg in table_inputs():
+            elements = alg.elements()
+            assert [list(row) for row in alg.table] == [
+                [alg.compose(x, y) for y in elements] for x in elements
+            ]
+            count += 1
+        assert count == 1 + 2 + 512 + 1408 + 40 + 5
+
+    def test_check_axioms_never_calls_compose(self, monkeypatch):
+        calls = 0
+        compose = ra.FiniteRelAlgebra.compose
+
+        def counting(self, x, y):
+            nonlocal calls
+            calls += 1
+            return compose(self, x, y)
+
+        algebras = [ra.proper_algebra(2)] + [ra.minimal_point_algebra(b) for b in (1, 2, 3)]
+        algebras += [ra.expand(seeded_structure(*case)) for case in RANDOM_CASES[:20]]
+        monkeypatch.setattr(ra.FiniteRelAlgebra, "compose", counting)
+        for alg in algebras:
+            ra.check_axioms(alg)
+        assert calls == 0
+        # the counter does count: the table matches compose
+        alg = algebras[0]
+        assert alg.table[3][5] == alg.compose(3, 5)
+        assert calls == 1
+
+
+class TestPackedTriangle:
+    def test_raw_structures_match_the_triple_loop(self):
+        for alg in table_inputs():
+            assert ra.triangle_by_elements(alg) == reference_triangle(alg)
+
+    @pytest.mark.parametrize("case", RANDOM_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_seeded_structures_match_the_triple_loop(self, case):
+        alg = ra.expand(seeded_structure(*case))
+        assert alg.one + 1 <= ra.ELEMENT_TRIANGLE_CAP
+        assert ra.triangle_by_elements(alg) == reference_triangle(alg)
+
+    def test_seeded_cases_pass_and_fail(self):
+        verdicts = {
+            (case[0], ra.triangle_by_elements(ra.expand(seeded_structure(*case)))[0])
+            for case in RANDOM_CASES
+        }
+        # over one atom every cycle set is closed: (0, 0, 0) is its own image
+        assert verdicts == {(1, True)} | {(k, ok) for k in range(2, 6) for ok in (True, False)}

@@ -59,12 +59,10 @@ def least_matrix(adj):
     return best
 
 
-@functools.lru_cache(maxsize=None)
-def checked_masks(k):
-    """Reference: every orbit mask of every converse, in enumeration order,
-    with its structure, axiom report and canonical key."""
+def search_raw_structures(k):
+    """Every structure the k-atom search counts as raw: each orbit mask of
+    each converse, in enumeration order, with its converse and mask."""
     diversity = tuple(range(1, k))
-    out = []
     for conv_map in se._involutions(diversity):
         conv = tuple([0] + [conv_map[a] for a in diversity])
         orbits = se._triple_orbits(k, conv)
@@ -74,10 +72,18 @@ def checked_masks(k):
             for i, orbit in enumerate(orbits):
                 if mask >> i & 1:
                     cycles |= orbit
-            structure = ra.AtomStructure(k, conv, frozenset({0}), frozenset(cycles))
-            report = ra.check_axioms(ra.expand(structure), structure)
-            out.append((conv, mask, structure, report, se._canonical_structure(structure)))
-    return tuple(out)
+            yield conv, mask, ra.AtomStructure(k, conv, frozenset({0}), frozenset(cycles))
+
+
+@functools.lru_cache(maxsize=None)
+def checked_masks(k):
+    """Reference: every orbit mask of every converse, in enumeration order,
+    with its structure, axiom report and canonical key."""
+    return tuple(
+        (conv, mask, structure, ra.check_axioms(ra.expand(structure), structure),
+         se._canonical_structure(structure))
+        for conv, mask, structure in search_raw_structures(k)
+    )
 
 
 def every_mask_search(k, constraints):
