@@ -9,7 +9,7 @@ accepts the option and prints records either way, and ``search frames``
 accepts ``--jobs`` and runs in one process.  Exit codes: 0 on
 success or all-confirmed, 1 on a counterexample outside the allowlist or a
 non-separated outcome, 2 on usage errors, malformed input, exhausted
-capacity or a term too deep to evaluate.
+capacity or a term too deep to parse or evaluate.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def _cmd_frame(args) -> int:
 
 def _cmd_eval(args) -> int:
     s = parse_sparam(args.s)
-    _echo(args, term=repr(args.term), at=repr(args.at))
     term = _resolve_term(args.term)
+    _echo(args, term=repr(args.term), at=repr(args.at))
     env = {"x": sym.parse_set(s, args.at)}
     for binding in args.env or ():
         name, _, value = binding.partition("=")

@@ -783,20 +783,24 @@ class _Parser:
         return Eq(left, right) if op == "=" else Neq(left, right)
 
 
-def parse_term(text: str) -> Term:
+def _parse(text: str, start):
+    # the parser recurses once per nesting level, so deep input runs out of stack
     parser = _Parser(_tokenize(text))
-    t = parser.term()
+    try:
+        out = start(parser)
+    except RecursionError:
+        raise ValueError("term nested too deep to parse") from None
     if parser.peek() is not None:
         raise ValueError(f"trailing input at {parser.peek()!r}")
-    return t
+    return out
+
+
+def parse_term(text: str) -> Term:
+    return _parse(text, _Parser.term)
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(_tokenize(text))
-    fm = parser.formula()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing input at {parser.peek()!r}")
-    return fm
+    return _parse(text, _Parser.formula)
 
 
 def format_term(t: Term, prec: int = 0) -> str:

@@ -43,6 +43,13 @@ class TestEval:
         _, out, _ = run(capsys, "eval", "--s", "empty", "--term", "beta", "--at", "A(0,1)")
         assert out.startswith("# tw eval ")
 
+    def test_too_deep_to_parse_prints_nothing(self, capsys):
+        term = "f(" * 1500 + "x" + ")" * 1500
+        code, out, err = run(capsys, "eval", "--s", "empty", "--term", term, "--at", "A(0,1)")
+        assert code == 2
+        assert out == ""
+        assert err == "error: term nested too deep to parse\n"
+
 
 class TestAudit:
     def test_fg_single_param_exit_zero(self, capsys):

@@ -232,6 +232,15 @@ class TestSyntax:
         with pytest.raises(ValueError):
             tm.parse_term("f & x")
 
+    @pytest.mark.parametrize("parse, text", [
+        (tm.parse_term, "f(" * 1500 + "x" + ")" * 1500),
+        (tm.parse_formula, "not " * 1500 + "x = 0"),
+        (tm.parse_formula, "(" * 1500 + "x = 0" + ")" * 1500),
+    ], ids=["term", "formula-not", "formula-parens"])
+    def test_too_deep_to_parse(self, parse, text):
+        with pytest.raises(ValueError, match="^term nested too deep to parse$"):
+            parse(text)
+
 
 class TestOracleAgreement:
     def test_term_suite_matches_truncation(self, family_param):
