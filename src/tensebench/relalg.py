@@ -15,8 +15,8 @@ a composition term in ``x`` and ``y`` is evaluated like any other term, by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from array import array
+from dataclasses import dataclass
 from functools import cached_property
 from operator import or_
 
@@ -127,8 +127,9 @@ class FiniteRelAlgebra:
     def table(self) -> tuple[array, ...]:
         """The composition table: ``table[x][y] == compose(x, y)`` for every
         pair of elements, built once per algebra.  Rows are ``array('H')``,
-        two bytes an entry (enough for 16 atoms), so a table at the 12-atom
-        cap takes 32 MB rather than about 600 MB of int objects.
+        two bytes an entry (enough for 16 atoms): at the 12-atom cap the
+        table has 2^24 entries, which as int objects would take about 600 MB
+        and here take 32 MiB.
 
         ``compose`` joins the products of every atom of x with every atom of
         y, so it is additive in each argument: splitting off the lowest bit,
