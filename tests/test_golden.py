@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from conftest import seeded_structure
+from tensebench import relalg as ra
 from tensebench.cli import main
 
 GOLDEN = {
@@ -84,13 +85,17 @@ AXIOMS_GOLDEN = {
 }
 
 
-def axioms_stdout(capsys, monkeypatch, tmp_path, case):
+def relalg_stdout(capsys, monkeypatch, tmp_path, sub, structure):
     # a fixed relative path, so the echoed `infile=` is the same on every run
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "structure.txt").write_text(seeded_structure(*case).to_text())
-    code = main(["relalg", "axioms", "--in", "structure.txt"])
+    (tmp_path / "structure.txt").write_text(structure.to_text())
+    code = main(["relalg", sub, "--in", "structure.txt"])
     assert code == 0
     return capsys.readouterr().out
+
+
+def axioms_stdout(capsys, monkeypatch, tmp_path, case):
+    return relalg_stdout(capsys, monkeypatch, tmp_path, "axioms", seeded_structure(*case))
 
 
 @pytest.mark.parametrize("case", list(AXIOMS_GOLDEN), ids=lambda c: "-".join(map(str, c)))
@@ -110,3 +115,51 @@ def test_relalg_axioms_cases_print_every_witness_law(capsys, monkeypatch, tmp_pa
             "associative", "reflexive", "symmetric", "subadditive",
         )
     }
+
+
+# `tw relalg minsub --in structure.txt` on the seeded structures of
+# AXIOMS_GOLDEN and on the full algebra of relations on a 2-element base
+MINSUB_GOLDEN = {
+    (1, 0, "closed", 0.1):
+        "69eb16f74fca47dc66b549f71310da9c3000e534508f8903740a6fa0fb69f067",
+    (1, 0, "raw", 0.1):
+        "e2079584d2538519cdeb8ca1199e4b6b12ad9f69f31033191a0249fa3aad9a88",
+    (2, 0, "raw", 0.3):
+        "89456fdb9a8072f93c9963d00c303be4db7b57a9d9452199459254622089a1f0",
+    (3, 0, "closed", 0.1):
+        "6a74db5ccbf0aed7b10ed01ad65dcaa79351f5cf7e13fc67dfe13f8d2aff7da6",
+    (3, 1, "raw", 0.3):
+        "6f0fc2a00caa9681ffc5b4c3e1d7deeec6d76b37d4a1ab551e08c22558d456cf",
+    (3, 3, "dropped", 0.3):
+        "0f7a7160a799a2fe307955633e47ee359fd183e79fbcf9a1f0367f034e46f446",
+    (4, 0, "closed", 0.6):
+        "0f7a7160a799a2fe307955633e47ee359fd183e79fbcf9a1f0367f034e46f446",
+    (4, 1, "dropped", 0.6):
+        "0f7a7160a799a2fe307955633e47ee359fd183e79fbcf9a1f0367f034e46f446",
+    (4, 3, "closed", 0.1):
+        "0f7a7160a799a2fe307955633e47ee359fd183e79fbcf9a1f0367f034e46f446",
+    (5, 0, "dropped", 0.1):
+        "0f7a7160a799a2fe307955633e47ee359fd183e79fbcf9a1f0367f034e46f446",
+    (5, 1, "raw", 0.2):
+        "b8c2aa0c77f6468df6a3e1d74d0f1cfc96f0fb75f6bb6d931829aefb49179f8e",
+    (5, 4, "closed", 0.3):
+        "0f7a7160a799a2fe307955633e47ee359fd183e79fbcf9a1f0367f034e46f446",
+    (5, 5, "dropped", 0.3):
+        "0f7a7160a799a2fe307955633e47ee359fd183e79fbcf9a1f0367f034e46f446",
+    ("proper", 2):
+        "a7e5b95871fa23e1f460d599ba79b29a4dacf0ff40694c0f97a19ceabd1fe467",
+}
+
+
+def test_minsub_cases_extend_the_axioms_cases():
+    assert list(MINSUB_GOLDEN)[:-1] == list(AXIOMS_GOLDEN)
+
+
+@pytest.mark.parametrize("case", list(MINSUB_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_relalg_minsub_digest(capsys, monkeypatch, tmp_path, case):
+    if case == ("proper", 2):
+        structure = ra.structure_of(ra.proper_algebra(2))
+    else:
+        structure = seeded_structure(*case)
+    out = relalg_stdout(capsys, monkeypatch, tmp_path, "minsub", structure)
+    assert hashlib.sha256(out.encode()).hexdigest() == MINSUB_GOLDEN[case]

@@ -28,6 +28,16 @@ STRUCTURE_COUNTS = {
 }
 DUAL_PATH_CASES = [(1, ()), (2, ()), (2, ("sym",))] + list(STRUCTURE_COUNTS)
 
+# classify_minimal of each total frame on k points, in enumeration order; a
+# NotMinimal verdict is written as its witness
+CLASSIFY_PINS = {
+    1: ("TrivialSize2",),
+    2: ("MinimalCoverCandidate",) * 2,
+    3: (1, 3, "MinimalCoverCandidate", "MinimalCoverCandidate", 2, 1, 1),
+    4: (1, 1, 7, 7, 2, 1, 1, 1, 1, 2, 5, 2, 5, 5, 5, 1, 1, 1, 5, 1, 1,
+        1, 1, 3, 3, 3, 1, 1, 3, 1, 5, 1, 3, 3, 2, 3, 1, 1, 1, 1, 1, 1),
+}
+
 
 def code_matrix(k, code):
     """The adjacency matrix of a search code: one base-3 digit per pair i < j,
@@ -192,6 +202,15 @@ class TestClassify:
         alg = as_finite_algebra(frame)
         closed = se._generated_subalgebra(alg, result.witness)
         assert len(closed) == 4 < alg.one + 1
+
+    @pytest.mark.parametrize("k", sorted(CLASSIFY_PINS))
+    def test_every_total_frame_verdict_and_witness(self, k):
+        _, frames = se.enumerate_total_frames(k)
+        got = [str(se.classify_minimal(as_finite_algebra(frame))) for frame in frames]
+        assert got == [
+            f"NotMinimal(witness={pin})" if isinstance(pin, int) else pin
+            for pin in CLASSIFY_PINS[k]
+        ]
 
     def test_candidates_are_discriminator(self):
         for k in (1, 2, 3):
