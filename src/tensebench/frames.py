@@ -238,6 +238,30 @@ def _gather(adjacency: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def closure(seeds: Iterable, unary: tuple = (), binary: tuple = ()) -> set:
+    """The least superset of ``seeds`` closed under the ``unary`` and the
+    ``binary`` operations.
+
+    A worklist: each element, once found, goes through every unary operation
+    and is combined with every element found before it and with itself.  It
+    is combined in both orders, ``op(x, y)`` and ``op(y, x)``, because an
+    operation such as relation composition does not commute, and the earlier
+    element ``y`` never meets the later ``x`` again."""
+    found = set(seeds)
+    pending = list(found)
+    done = []
+    while pending:
+        x = pending.pop()
+        done.append(x)
+        values = [op(x) for op in unary]
+        values += [value for y in done for op in binary for value in (op(x, y), op(y, x))]
+        for value in values:
+            if value not in found:
+                found.add(value)
+                pending.append(value)
+    return found
+
+
 def complex_f(frame: Frame, mask: int) -> int:
     """All successors of the vertices in ``mask`` (the image operator)."""
     return _gather(frame._succ, mask)

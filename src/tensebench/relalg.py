@@ -18,9 +18,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import or_
+from itertools import product
+from operator import and_, or_
 
-from .frames import CapacityError
+from .frames import CapacityError, _gather, closure, iter_bits
 
 MAX_ATOMS = 12
 ELEMENT_TRIANGLE_CAP = 32  # element-level triangle enumeration up to this many elements
@@ -90,6 +91,7 @@ def parse_atom_structure(text: str) -> AtomStructure:
             cycles.add(tuple(values))
     if count is None:
         raise ValueError("missing 'atoms <count>' line")
+    _check_atom_cap(count)
     converse = tuple(conv.get(a, a) for a in range(count))
     return AtomStructure(count, converse, frozenset(identity), frozenset(cycles))
 
@@ -111,16 +113,8 @@ class FiniteRelAlgebra:
 
     def compose(self, x: int, y: int) -> int:
         out = 0
-        rest = x
-        while rest:
-            low = rest & -rest
-            row = self.comp_atom[low.bit_length() - 1]
-            others = y
-            while others:
-                lo2 = others & -others
-                out |= row[lo2.bit_length() - 1]
-                others ^= lo2
-            rest ^= low
+        for a in iter_bits(x):
+            out |= _gather(self.comp_atom[a], y)
         return out
 
     @cached_property
@@ -154,13 +148,7 @@ class FiniteRelAlgebra:
         return tuple(rows)
 
     def converse(self, x: int) -> int:
-        out = 0
-        rest = x
-        while rest:
-            low = rest & -rest
-            out |= self.conv_atom[low.bit_length() - 1]
-            rest ^= low
-        return out
+        return _gather(self.conv_atom, x)
 
     def neg(self, x: int) -> int:
         return self.one ^ x
@@ -172,11 +160,15 @@ class FiniteRelAlgebra:
         return range(self.one + 1)
 
 
+def _check_atom_cap(k: int):
+    if k > MAX_ATOMS:
+        raise CapacityError(f"{k} atoms exceeds the {MAX_ATOMS}-atom cap")
+
+
 def expand(structure: AtomStructure) -> FiniteRelAlgebra:
     """Additive expansion of an atom structure; capacity-limited."""
     k = structure.atom_count
-    if k > MAX_ATOMS:
-        raise CapacityError(f"{k} atoms exceeds the {MAX_ATOMS}-atom cap")
+    _check_atom_cap(k)
     comp = [[0] * k for _ in range(k)]
     for a, b, c in structure.cycles:
         comp[a][b] |= 1 << c
@@ -334,85 +326,46 @@ class AxiomReport:
 def check_axioms(alg: FiniteRelAlgebra, structure: AtomStructure | None = None) -> AxiomReport:
     witnesses: list[tuple[str, str]] = []
 
-    def note(law: str, value: str):
-        witnesses.append((law, value))
+    def holds(law: str, failures, show=str) -> bool:
+        """Whether ``failures`` is empty; if not, its first case is the
+        law's witness."""
+        failure = next(failures, None)
+        if failure is not None:
+            witnesses.append((law, show(failure)))
+        return failure is None
 
-    boolean_ok = True
-    for x in alg.elements():
-        if x & alg.neg(x) != 0 or x | alg.neg(x) != alg.one:
-            boolean_ok = False
-            note("boolean", str(x))
-            break
+    def joined(case: tuple) -> str:
+        return ",".join(map(str, case))
 
-    table = alg.table
-    identity_ok = True
-    e = alg.identity
-    for x in alg.elements():
-        if table[e][x] != x or table[x][e] != x:
-            identity_ok = False
-            note("identity", str(x))
-            break
+    elements, one, e, table = alg.elements(), alg.one, alg.identity, alg.table
+    boolean_ok = holds("boolean", (
+        x for x in elements if x & alg.neg(x) != 0 or x | alg.neg(x) != one))
+    identity_ok = holds("identity", (
+        x for x in elements if table[e][x] != x or table[x][e] != x))
 
-    atoms_ok = True
-    atom_witness = None
-    if structure is not None:
-        atoms_ok, atom_witness = triangle_by_atoms(structure)
-    else:
-        atoms_ok, atom_witness = triangle_by_atoms(structure_of(alg))
+    atoms_ok, atom_witness = triangle_by_atoms(
+        structure if structure is not None else structure_of(alg))
     if atom_witness:
-        note("triangle-atoms", atom_witness)
-
+        witnesses.append(("triangle-atoms", atom_witness))
     element_ok: bool | None = None
-    if alg.one + 1 <= ELEMENT_TRIANGLE_CAP:
-        element_ok, wit = triangle_by_elements(alg)
-        if wit:
-            note("triangle-elements", wit)
+    if one + 1 <= ELEMENT_TRIANGLE_CAP:
+        element_ok, element_witness = triangle_by_elements(alg)
+        if element_witness:
+            witnesses.append(("triangle-elements", element_witness))
 
-    semi_ok = True
-    for x in alg.elements():
-        x1 = table[x][alg.one]
-        if table[x1][alg.one] != x1:
-            semi_ok = False
-            note("semiassociative", str(x))
-            break
-
-    assoc_ok = True
-    atoms = alg.atoms()
-    for a in atoms:
-        for b in atoms:
-            ab = table[a][b]
-            for c in atoms:
-                if table[ab][c] != table[a][table[b][c]]:
-                    assoc_ok = False
-                    note("associative", f"{a},{b},{c}")
-                    break
-            if not assoc_ok:
-                break
-        if not assoc_ok:
-            break
-
-    reflexive_ok = True
-    for x in alg.elements():
-        if x & table[x][x] != x:
-            reflexive_ok = False
-            note("reflexive", str(x))
-            break
-
-    symmetric_ok = all(alg.conv_atom[a] == 1 << a for a in range(alg.atom_count))
-    if not symmetric_ok:
-        note("symmetric", "converse moves an atom")
-
-    subadd_ok = True
-    for x in alg.elements():
-        nx = alg.neg(x)
-        for y in alg.elements():
-            lhs = table[x][nx & y]
-            if lhs | (x | y) != (x | y):
-                subadd_ok = False
-                note("subadditive", f"{x},{y}")
-                break
-        if not subadd_ok:
-            break
+    semi_ok = holds("semiassociative", (
+        x for x in elements if table[(x1 := table[x][one])][one] != x1))
+    assoc_ok = holds("associative", (
+        (a, b, c) for a, b, c in product(alg.atoms(), repeat=3)
+        if table[table[a][b]][c] != table[a][table[b][c]]), show=joined)
+    reflexive_ok = holds("reflexive", (x for x in elements if x & table[x][x] != x))
+    symmetric_ok = holds("symmetric", (
+        a for a in range(alg.atom_count) if alg.conv_atom[a] != 1 << a),
+        show=lambda a: "converse moves an atom")
+    # y & ~x is the meet of y with the complement of x
+    subadd_ok = holds("subadditive", (
+        (x, y) for x, y in product(elements, repeat=2)
+        if table[x][y & ~x] | x | y != x | y), show=joined)
 
     return AxiomReport(
         boolean_ok, identity_ok, atoms_ok, element_ok, semi_ok, assoc_ok,
@@ -441,22 +394,9 @@ def structure_of(alg: FiniteRelAlgebra) -> AtomStructure:
 
 def minimal_subalgebra(alg: FiniteRelAlgebra) -> FiniteRelAlgebra:
     """The subalgebra generated by the constants 0, 1, e."""
-    closed = {0, alg.one, alg.identity}
-    frontier = True
-    while frontier:
-        frontier = False
-        current = list(closed)
-        for x in current:
-            for value in (alg.neg(x), alg.converse(x)):
-                if value not in closed:
-                    closed.add(value)
-                    frontier = True
-        for x in current:
-            for y in current:
-                for value in (x | y, x & y, alg.compose(x, y)):
-                    if value not in closed:
-                        closed.add(value)
-                        frontier = True
+    closed = closure(
+        {0, alg.one, alg.identity}, (alg.neg, alg.converse), (or_, and_, alg.compose)
+    )
     # atoms of the Boolean subalgebra partition the top element
     members = sorted(closed)
     new_atoms = []

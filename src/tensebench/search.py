@@ -20,9 +20,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from operator import and_, or_
 
 from . import relalg
-from .frames import CapacityError, Frame, FiniteTenseAlgebra, VertexId, iter_bits
+from .frames import CapacityError, Frame, FiniteTenseAlgebra, VertexId, closure, iter_bits
 from .parallel import parallel_map
 from .relalg import AtomStructure
 
@@ -156,26 +157,6 @@ class Classification:
         return self.kind
 
 
-def _generated_subalgebra(alg: FiniteTenseAlgebra, x: int) -> set[int]:
-    closed = {0, alg.one, x}
-    frontier = True
-    while frontier:
-        frontier = False
-        current = list(closed)
-        for a in current:
-            for value in (alg.neg(a), alg.f(a), alg.g(a)):
-                if value not in closed:
-                    closed.add(value)
-                    frontier = True
-        for a in current:
-            for b in current:
-                for value in (a | b, a & b):
-                    if value not in closed:
-                        closed.add(value)
-                        frontier = True
-    return closed
-
-
 def classify_minimal(alg: FiniteTenseAlgebra) -> Classification:
     """Whether every element outside {0, 1} generates the whole algebra.
 
@@ -188,7 +169,7 @@ def classify_minimal(alg: FiniteTenseAlgebra) -> Classification:
     if size == 2:
         return Classification("TrivialSize2")
     for x in range(1, alg.one):
-        if len(_generated_subalgebra(alg, x)) < size:
+        if len(closure({0, alg.one, x}, (alg.neg, alg.f, alg.g), (or_, and_))) < size:
             return Classification("NotMinimal", x)
     return Classification("MinimalCoverCandidate")
 
@@ -252,16 +233,11 @@ def _forced_cycles(k: int, conv: tuple[int, ...]) -> frozenset[tuple[int, int, i
 
 
 def _orbit(triple: tuple[int, int, int], conv: tuple[int, ...]) -> frozenset:
-    out = set()
-    pending = {triple}
-    while pending:
-        t = pending.pop()
-        if t in out:
-            continue
-        out.add(t)
-        for transform in relalg.PEIRCE_TRANSFORMS:
-            pending.add(transform(*t, conv))
-    return frozenset(out)
+    """The triples that the six Peirce transforms reach from ``triple``."""
+    return frozenset(closure({triple}, tuple(
+        lambda t, transform=transform: transform(*t, conv)
+        for transform in relalg.PEIRCE_TRANSFORMS
+    )))
 
 
 def _canonical_structure(structure: AtomStructure) -> str:

@@ -1,4 +1,5 @@
 import argparse
+import time
 
 import pytest
 
@@ -247,6 +248,20 @@ def test_negative_atom_count_rejected(capsys, tmp_path, sub):
     code, _, err = run(capsys, "relalg", sub, "--in", str(path))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("sub", ["axioms", "expand", "minsub"])
+@pytest.mark.parametrize("count", [13, 10**12])
+def test_atom_count_over_the_cap_rejected_while_parsing(capsys, tmp_path, sub, count):
+    # refused before any atom is built, so even 10^12 atoms exits at once
+    path = tmp_path / "input.txt"
+    path.write_text(f"atoms {count}\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "relalg", sub, "--in", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {count} atoms exceeds the 12-atom cap\n"
 
 
 class TestUsageErrors:

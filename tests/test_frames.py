@@ -1,12 +1,22 @@
+import itertools
+import random
+from operator import and_, or_
+
 import pytest
 
+from conftest import seeded_structure
+from tensebench import relalg as ra
+from tensebench import search as se
 from tensebench.frames import (
     CapacityError,
     Frame,
+    FiniteTenseAlgebra,
     TruncationSpec,
     VertexId,
     as_finite_algebra,
+    _transpose,
     build_truncation,
+    closure,
     complex_f,
     complex_g,
     edge_present,
@@ -129,6 +139,71 @@ class TestFiniteAlgebra:
         for i in range(alg.atom_count):
             for j in range(alg.atom_count):
                 assert bool(alg.f_atom[i] >> j & 1) == bool(alg.g_atom[j] >> i & 1)
+
+
+def reference_closure(seeds, unary=(), binary=()):
+    """Round-based fixpoint: every round applies each operation to every
+    element, and to every ordered pair, found by the round before."""
+    closed = set(seeds)
+    frontier = True
+    while frontier:
+        frontier = False
+        current = list(closed)
+        values = [op(x) for x in current for op in unary]
+        values += [op(x, y) for x in current for y in current for op in binary]
+        for value in values:
+            if value not in closed:
+                closed.add(value)
+                frontier = True
+    return closed
+
+
+def random_seeds(rng, alg, count):
+    return {rng.randrange(alg.one + 1) for _ in range(count)}
+
+
+class TestClosure:
+    def test_random_tense_algebras(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            f_atom = tuple(rng.randrange(1 << n) for _ in range(n))
+            alg = FiniteTenseAlgebra(f_atom, _transpose(f_atom))
+            seeds = random_seeds(rng, alg, rng.randint(1, 3))
+            for unary, binary in (
+                ((alg.neg, alg.f, alg.g), (or_, and_)),
+                ((alg.f, alg.g), (or_,)),
+                ((alg.f,), ()),
+            ):
+                assert closure(seeds, unary, binary) == reference_closure(seeds, unary, binary)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("mode", ["raw", "closed", "dropped"])
+    def test_noncommuting_composition(self, k, mode):
+        # composition alone generates a subsemigroup, which depends on the
+        # order of its arguments whenever x;y != y;x
+        rng = random.Random(k)
+        for seed in range(6):
+            alg = ra.expand(seeded_structure(k, seed, mode, 0.3))
+            for _ in range(4):
+                seeds = random_seeds(rng, alg, rng.randint(1, 2))
+                for unary, binary in (
+                    ((), (alg.compose,)),
+                    ((alg.neg, alg.converse), (or_, and_, alg.compose)),
+                ):
+                    assert (closure(seeds, unary, binary)
+                            == reference_closure(seeds, unary, binary))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_peirce_orbits(self, k):
+        for conv_map in se._involutions(tuple(range(k))):
+            conv = tuple(conv_map[a] for a in range(k))
+            transforms = tuple(
+                lambda t, transform=transform: transform(*t, conv)
+                for transform in ra.PEIRCE_TRANSFORMS
+            )
+            for triple in itertools.product(range(k), repeat=3):
+                assert se._orbit(triple, conv) == reference_closure({triple}, transforms)
 
 
 class TestConjugacyExhaustive:

@@ -151,10 +151,6 @@ MINSUB_GOLDEN = {
 }
 
 
-def test_minsub_cases_extend_the_axioms_cases():
-    assert list(MINSUB_GOLDEN)[:-1] == list(AXIOMS_GOLDEN)
-
-
 @pytest.mark.parametrize("case", list(MINSUB_GOLDEN), ids=lambda c: "-".join(map(str, c)))
 def test_relalg_minsub_digest(capsys, monkeypatch, tmp_path, case):
     if case == ("proper", 2):

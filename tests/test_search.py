@@ -1,12 +1,15 @@
 import dataclasses
 import functools
 import itertools
+import operator
 
 import pytest
 
 from tensebench import relalg as ra
 from tensebench import search as se
-from tensebench.frames import CapacityError, Frame, VertexId, as_finite_algebra, is_total
+from tensebench.frames import (
+    CapacityError, Frame, VertexId, as_finite_algebra, closure, is_total,
+)
 
 # (raw, iso) of the total-frame search for k = 1..5
 FRAME_COUNTS = {1: (1, 1), 2: (3, 2), 3: (27, 7), 4: (729, 42), 5: (59049, 582)}
@@ -200,7 +203,8 @@ class TestClassify:
         assert result.kind == "NotMinimal"
         assert result.witness is not None
         alg = as_finite_algebra(frame)
-        closed = se._generated_subalgebra(alg, result.witness)
+        closed = closure({0, alg.one, result.witness}, (alg.neg, alg.f, alg.g),
+                         (operator.or_, operator.and_))
         assert len(closed) == 4 < alg.one + 1
 
     @pytest.mark.parametrize("k", sorted(CLASSIFY_PINS))
