@@ -6,7 +6,7 @@ examples.
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,13 +19,13 @@ def atom_structures(draw, max_atoms=6):
     """A valid structure: an involution built from disjoint swaps, any
     identity atoms and any set of cycles."""
     k = draw(st.integers(0, max_atoms))
+    if k == 0:
+        return ra.AtomStructure(0, (), frozenset(), frozenset())
     order = draw(st.permutations(range(k)))
     converse = list(range(k))
     for i in range(draw(st.integers(0, k // 2))):
         a, b = order[2 * i], order[2 * i + 1]
         converse[a], converse[b] = b, a
-    if k == 0:
-        return ra.AtomStructure(0, (), frozenset(), frozenset())
     atom = st.integers(0, k - 1)
     identity = draw(st.frozensets(atom))
     cycles = draw(st.frozensets(st.tuples(atom, atom, atom), max_size=40))
