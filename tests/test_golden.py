@@ -37,6 +37,10 @@ GOLDEN = {
         "d72f7ab42b510d56286723c4654d8d6a2d742fbba02f564e44dc2fbccf43afeb",
     ("search", "frames", "--k", "5"):
         "fd3545761d291e023b83b6563cc2583df056d84d45f7eb8d1b3e222dcb548ffa",
+    ("search", "frames", "--k", "4", "--emit", "frames"):
+        "49bd8afaef02baaf6580fa231c8ea44e8cd4eb561be9f2eacdd62f6316fd2d76",
+    ("search", "frames", "--k", "5", "--emit", "frames"):
+        "b3e3358e98a6d99475c866d06ae3d50abda697676393d8ba92a3306d7809b9b5",
     ("search", "structures", "--k", "4", "--constraints", "sym,sa"):
         "e13dccc3893915b3571c67c6723c49e8c37051081c3a6716d4ebadf10cf0696a",
     ("search", "structures", "--k", "4", "--emit", "structures"):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import operator
 
@@ -72,12 +73,110 @@ def least_matrix(adj):
     return best
 
 
+def reference_frame(k, bits):
+    """The frame of matrix bits, built from its edge list."""
+    vertices = [VertexId(0, i + 1) for i in range(k)]
+    edges = [(vertices[i], vertices[j])
+             for i in range(k) for j in range(k) if bits >> (i * k + j) & 1]
+    return Frame(vertices, edges)
+
+
+def frame_state(frame):
+    """What a frame is made of: its vertices and its successor and
+    predecessor masks."""
+    return frame.vertices, frame._succ, frame._pred
+
+
+def reference_total_frames(k):
+    """Reference frame search: each relabeling's image of a code is summed
+    one base-3 digit at a time, and each representative frame is built from
+    its edge list."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    slot = {pair: p for p, pair in enumerate(pairs)}
+    maps = []
+    for perm in itertools.permutations(range(k)):
+        per_pair = []
+        for (i, j) in pairs:
+            a, b = perm[i], perm[j]
+            lo, hi = min(a, b), max(a, b)
+            weight = 3 ** slot[(lo, hi)]
+            up, down = 1 << (lo * k + hi), 1 << (hi * k + lo)
+            if a < b:
+                choices = ((0, up), (weight, down), (2 * weight, up | down))
+            else:
+                choices = ((weight, down), (0, up), (2 * weight, up | down))
+            per_pair.append(choices)
+        maps.append(per_pair)
+    loops = sum(1 << (i * k + i) for i in range(k))
+    visited = bytearray(3 ** len(pairs))
+    found = set()
+    for code in range(len(visited)):
+        if visited[code]:
+            continue
+        digits = []
+        rest = code
+        for _ in pairs:
+            digits.append(rest % 3)
+            rest //= 3
+        best = None
+        for per_pair in maps:
+            image = 0
+            bits = loops
+            for choices, digit in zip(per_pair, digits):
+                step, edges = choices[digit]
+                image += step
+                bits |= edges
+            visited[image] = 1
+            if best is None or bits < best:
+                best = bits
+        found.add(best)
+    keys = sorted(found)
+    report = se.SearchReport(
+        "frames", k, (), len(visited), len(keys),
+        tuple(f"matrix={bits:0{k * k}b}" for bits in keys),
+    )
+    return report, [reference_frame(k, bits) for bits in keys]
+
+
+def mask_image(mask, bit_map):
+    """The image of an orbit mask, one bit at a time."""
+    image = 0
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            image |= 1 << bit_map[i]
+    return image
+
+
+def reference_representatives(orbits, maps):
+    """Reference orbit walk: every image of an unvisited mask is computed
+    bit by bit and marked visited."""
+    visited = bytearray(1 << len(orbits))
+    reps = []
+    for mask in range(len(visited)):
+        if not visited[mask]:
+            reps.append(mask)
+            for bit_map in maps:
+                visited[mask_image(mask, bit_map)] = 1
+    return reps
+
+
+def every_converse(k):
+    diversity = tuple(range(1, k))
+    for conv_map in se._involutions(diversity):
+        yield tuple([0] + [conv_map[a] for a in diversity])
+
+
+# the orbit walk at k = 5 over the symmetric converse: the number of least
+# masks and the sha256 of their space-separated decimal list
+SYMMETRIC_K5_REPS = (
+    45960, "23d59b6bcb7a037dd5715b44391e4e02397e29db538510ac453306b61dbe26fa"
+)
+
+
 def search_raw_structures(k):
     """Every structure the k-atom search counts as raw: each orbit mask of
     each converse, in enumeration order, with its converse and mask."""
-    diversity = tuple(range(1, k))
-    for conv_map in se._involutions(diversity):
-        conv = tuple([0] + [conv_map[a] for a in diversity])
+    for conv in every_converse(k):
         orbits = se._triple_orbits(k, conv)
         forced = se._forced_cycles(k, conv)
         for mask in range(1 << len(orbits)):
@@ -168,6 +267,20 @@ class TestTotalFrames:
         assert report.representatives == tuple(
             f"matrix={bits:0{k * k}b}" for bits in sorted(expected)
         )
+
+    @pytest.mark.parametrize("k", sorted(FRAME_COUNTS))
+    def test_matches_reference_search(self, k):
+        report, frames = se.enumerate_total_frames(k)
+        expected, expected_frames = reference_total_frames(k)
+        assert report == expected
+        assert [frame_state(f) for f in frames] == [frame_state(f) for f in expected_frames]
+
+    @pytest.mark.parametrize("k", sorted(FRAME_COUNTS))
+    def test_frame_from_bits_matches_edge_list(self, k):
+        report, _ = se.enumerate_total_frames(k)
+        for rep in report.representatives:
+            bits = int(rep.removeprefix("matrix="), 2)
+            assert frame_state(se._frame_from_bits(k, bits)) == frame_state(reference_frame(k, bits))
 
     def test_serial_parallel_identical(self):
         serial, serial_structures = se.enumerate_atom_structures(3, jobs=1)
@@ -314,7 +427,7 @@ class TestOrbitOnceStructures:
             orbits = se._triple_orbits(k, conv)
             maps = se._bit_maps(k, conv, orbits)
             reps = se._representatives(orbits, maps)
-            least = [min(se._mask_image(mask, m) for m in maps) for mask in range(1 << len(orbits))]
+            least = [min(mask_image(mask, m) for m in maps) for mask in range(1 << len(orbits))]
             assert reps == sorted(set(least))
             for mask, rep in enumerate(least):
                 report, key = checked[(conv, mask)]
@@ -338,3 +451,17 @@ class TestOrbitOnceStructures:
         monkeypatch.setattr(ra, "check_axioms", counting)
         se.enumerate_atom_structures(4, constraints)
         assert count == calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_representatives_match_reference_walk(self, k):
+        for conv in every_converse(k):
+            orbits = se._triple_orbits(k, conv)
+            maps = se._bit_maps(k, conv, orbits)
+            assert se._representatives(orbits, maps) == reference_representatives(orbits, maps)
+
+    def test_symmetric_five_atom_representatives_pinned(self):
+        conv = tuple(range(5))
+        orbits = se._triple_orbits(5, conv)
+        reps = se._representatives(orbits, se._bit_maps(5, conv, orbits))
+        digest = hashlib.sha256(" ".join(map(str, reps)).encode()).hexdigest()
+        assert (len(reps), digest) == SYMMETRIC_K5_REPS
