@@ -209,9 +209,10 @@ PEIRCE_TRANSFORMS = (
 
 def triangle_by_atoms(structure: AtomStructure) -> tuple[bool, str | None]:
     """The triangle laws hold in the expansion iff the cycle set is closed
-    under the six transforms."""
+    under the six transforms.  Cycles are scanned in sorted order, so the
+    witness depends on the structure, not on how its cycle set was built."""
     cv = structure.converse
-    for triple in structure.cycles:
+    for triple in sorted(structure.cycles):
         for transform in PEIRCE_TRANSFORMS:
             image = transform(*triple, cv)
             if image not in structure.cycles:

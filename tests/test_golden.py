@@ -69,23 +69,23 @@ AXIOMS_GOLDEN = {
     (3, 0, "closed", 0.1):
         "e19a4fa5f8ddead1a1afce93a73d03af4ce8f0da20b6a105f5a459c78bfc394a",
     (3, 1, "raw", 0.3):
-        "7e5de26a2b571f571292933a05c22294aaf9920f7c3020d86b91de97496a954e",
+        "3126cec111eedb5de1b3810f1ddd0c68719d0b2fbe8376b6949fbff6f75fa911",
     (3, 3, "dropped", 0.3):
-        "f4babc60789e0bd66d4ab553d75a156b18aa31f03b4192ef8dc982bee59e385c",
+        "88e1dc9c7be90570faf901c3b7a1ac7df315d8bc097a3ad0f90fa98d2a67c941",
     (4, 0, "closed", 0.6):
         "e494869f983955029f9c7503f455cf9c7f7354ba704f62fbd2425cdfedba0ba0",
     (4, 1, "dropped", 0.6):
-        "8f1cd6fa0127b9cc659b25e931b4d182dfbd60aae533635985df4d1474669486",
+        "2ae9d0eaec565ce08aad43c7b1c94c8869858660b782a29e7d94785254572ee4",
     (4, 3, "closed", 0.1):
         "f4347b1d3c6ea3b0411c133fcace8f9705810952a74c9853943197390638d962",
     (5, 0, "dropped", 0.1):
-        "74c49a23dfa438db5f2591e24f4d2de69582b5fcc6a567ffad3ec0ac8b818c9c",
+        "5d8138cca292736f0d976f1912c775b1227696d124021d469f1d74f6df1b953b",
     (5, 1, "raw", 0.2):
-        "196d0a345914b1cb31566a43d97f4c3c0b55619abf4d2316ff13e1e6338d33e5",
+        "c886749cf90f1066859ab296ae46eac02e09d67bdfac8da6c1efdbc9376aeba7",
     (5, 4, "closed", 0.3):
         "6a89eabd7786ab8aa774940af8d953cf3d7fad48f3ce873e2f141044fe2ebb32",
     (5, 5, "dropped", 0.3):
-        "97d423cb4c4ab6ac563e5315a5d454703343099cb0d0f5e52f17de08c3e7240f",
+        "473528adbaadb11fc873d83a392756077d272f22815729aae9e83c772ffd31d3",
 }
 
 

@@ -148,6 +148,22 @@ class TestTriangleDualPath:
         assert any(law == "semiassociative" for law, _ in failing.witnesses)
 
 
+class TestWitnessOrder:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_witnesses_independent_of_cycle_order(self, k):
+        # equal structures whose cycle sets were built in opposite orders
+        for seed in range(10):
+            for p in (0.1, 0.2, 0.3, 0.6):
+                structure = seeded_structure(k, seed, "dropped", p)
+                copy = ra.AtomStructure(
+                    k, structure.converse, structure.identity_atoms,
+                    frozenset(sorted(structure.cycles, reverse=True)),
+                )
+                assert copy == structure
+                witnesses = ra.check_axioms(ra.expand(structure), structure).witnesses
+                assert ra.check_axioms(ra.expand(copy), copy).witnesses == witnesses, (seed, p)
+
+
 class TestStructureFiles:
     def test_roundtrip(self):
         structure = ra.AtomStructure(
