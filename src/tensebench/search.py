@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from array import array
 from dataclasses import dataclass, field
 from operator import and_, or_
 
@@ -57,9 +58,18 @@ class SearchReport:
 # total frames up to isomorphism
 
 
-def _code_maps(k: int) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
-    """For each vertex permutation and each vertex pair, the contribution of
-    the pair's three choices to the image's (code, matrix bits).
+def _sums(contribs: list[tuple[int, ...]]) -> array:
+    """The summed contribution of every digit string: entry
+    sum(d_i * base**i) holds sum(contribs[i][d_i]), base = len(contribs[i])."""
+    table = [0]
+    for choices in contribs:
+        table = [t + c for c in choices for t in table]
+    return array("I", table)
+
+
+def _code_maps(k: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """For each vertex permutation, each vertex pair's contribution to the
+    image's code and to its matrix bits, one entry per choice of the pair.
 
     A code has one base-3 digit per pair i < j: 0 for i->j, 1 for j->i, 2 for
     both.  Matrix bit i*k + j is the edge i->j; the loops are left out here.
@@ -68,7 +78,7 @@ def _code_maps(k: int) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
     slot = {pair: p for p, pair in enumerate(pairs)}
     maps = []
     for perm in itertools.permutations(range(k)):
-        per_pair = []
+        codes, bits = [], []
         for (i, j) in pairs:
             # the edges i->j and j->i of the code become a->b and b->a
             a, b = perm[i], perm[j]
@@ -76,24 +86,20 @@ def _code_maps(k: int) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
             weight = 3 ** slot[(lo, hi)]
             up, down = 1 << (lo * k + hi), 1 << (hi * k + lo)
             if a < b:
-                choices = ((0, up), (weight, down), (2 * weight, up | down))
+                codes.append((0, weight, 2 * weight))
+                bits.append((up, down, up | down))
             else:
-                choices = ((weight, down), (0, up), (2 * weight, up | down))
-            per_pair.append(choices)
-        maps.append(tuple(per_pair))
+                codes.append((weight, 0, 2 * weight))
+                bits.append((down, up, up | down))
+        maps.append((codes, bits))
     return maps
 
 
-def _frame_from_bits(k: int, bits: int) -> Frame:
-    vertices = [VertexId(0, i + 1) for i in range(k)]
-    edges = []
-    pos = 0
-    for i in range(k):
-        for j in range(k):
-            if bits >> pos & 1:
-                edges.append((vertices[i], vertices[j]))
-            pos += 1
-    return Frame(vertices, edges)
+def _frame_from_bits(vertices: tuple[VertexId, ...], bits: int) -> Frame:
+    """Matrix row i is vertex i's successor mask."""
+    k = len(vertices)
+    row = (1 << k) - 1
+    return Frame.from_masks(vertices, tuple(bits >> (i * k) & row for i in range(k)))
 
 
 def enumerate_total_frames(k: int) -> tuple[SearchReport, list[Frame]]:
@@ -102,38 +108,33 @@ def enumerate_total_frames(k: int) -> tuple[SearchReport, list[Frame]]:
     Each orbit of the codes is labeled once, by its least adjacency matrix
     over all relabelings.  Total frames are closed under relabeling, so every
     image of a code is a code of the space, and all of an orbit's codes are
-    marked visited when its first code is met.
+    marked visited when its first code is met.  A relabeling's image code and
+    matrix bits are each the sum of one table entry for the code's low digits
+    and one for its high digits.
     """
     if k < 1 or k > MAX_FRAME_SIZE:
         raise CapacityError(f"total-frame enumeration supports 1 <= k <= {MAX_FRAME_SIZE}")
     start = time.perf_counter()
     pair_count = k * (k - 1) // 2
+    half = pair_count // 2
     loops = sum(1 << (i * k + i) for i in range(k))
-    maps = _code_maps(k)
+    code_tables, bit_tables = [], []
+    for codes, bits in _code_maps(k):
+        code_tables.append((_sums(codes[:half]), _sums(codes[half:])))
+        bit_tables.append((_sums(bits[:half]), _sums(bits[half:])))
+    low = 3 ** half
     visited = bytearray(3 ** pair_count)
     found = set()
-    for code in range(len(visited)):
-        if visited[code]:
-            continue
-        digits = []
-        rest = code
-        for _ in range(pair_count):
-            digits.append(rest % 3)
-            rest //= 3
-        best = None
-        for per_pair in maps:
-            image = 0
-            bits = loops
-            for choices, digit in zip(per_pair, digits):
-                step, edges = choices[digit]
-                image += step
-                bits |= edges
-            visited[image] = 1
-            if best is None or bits < best:
-                best = bits
-        found.add(best)
+    code = 0
+    while code != -1:
+        hi, lo = divmod(code, low)
+        for lo_codes, hi_codes in code_tables:
+            visited[lo_codes[lo] + hi_codes[hi]] = 1
+        found.add(loops | min([lo_bits[lo] | hi_bits[hi] for lo_bits, hi_bits in bit_tables]))
+        code = visited.find(0, code + 1)
     keys = sorted(found)
-    frames = [_frame_from_bits(k, bits) for bits in keys]
+    vertices = tuple(VertexId(0, i + 1) for i in range(k))
+    frames = [_frame_from_bits(vertices, bits) for bits in keys]
     elapsed = (time.perf_counter() - start) * 1000
     report = SearchReport(
         "frames", k, (), len(visited), len(keys),
@@ -314,26 +315,29 @@ def _bit_maps(k: int, conv: tuple[int, ...], orbits: list[frozenset]) -> list[tu
     return maps
 
 
-def _mask_image(mask: int, bit_map: tuple[int, ...]) -> int:
-    image = 0
-    for i in iter_bits(mask):
-        image |= 1 << bit_map[i]
-    return image
-
-
 def _representatives(orbits: list[frozenset], maps: list[tuple[int, ...]]) -> list[int]:
     """The least mask of each orbit of the relabelings, in ascending order.
 
     Masks are walked in ascending order, so an unvisited mask is the least of
-    its orbit; all of its images are then marked visited.
+    its orbit; all of its images are then marked visited.  A relabeling sends
+    distinct bits to distinct bits, so a mask's image is the sum of one table
+    entry for its low bits and one for its high bits.
     """
+    half = len(orbits) // 2
+    tables = []
+    for bit_map in maps:
+        contribs = [(0, 1 << bit) for bit in bit_map]
+        tables.append((_sums(contribs[:half]), _sums(contribs[half:])))
+    low = (1 << half) - 1
     visited = bytearray(1 << len(orbits))
     reps = []
-    for mask in range(len(visited)):
-        if not visited[mask]:
-            reps.append(mask)
-            for bit_map in maps:
-                visited[_mask_image(mask, bit_map)] = 1
+    mask = 0
+    while mask != -1:
+        reps.append(mask)
+        lo, hi = mask & low, mask >> half
+        for lo_images, hi_images in tables:
+            visited[lo_images[lo] + hi_images[hi]] = 1
+        mask = visited.find(0, mask + 1)
     return reps
 
 

@@ -278,9 +278,11 @@ class TestTotalFrames:
     @pytest.mark.parametrize("k", sorted(FRAME_COUNTS))
     def test_frame_from_bits_matches_edge_list(self, k):
         report, _ = se.enumerate_total_frames(k)
+        vertices = tuple(VertexId(0, i + 1) for i in range(k))
         for rep in report.representatives:
             bits = int(rep.removeprefix("matrix="), 2)
-            assert frame_state(se._frame_from_bits(k, bits)) == frame_state(reference_frame(k, bits))
+            assert (frame_state(se._frame_from_bits(vertices, bits))
+                    == frame_state(reference_frame(k, bits)))
 
     def test_serial_parallel_identical(self):
         serial, serial_structures = se.enumerate_atom_structures(3, jobs=1)
