@@ -7,12 +7,14 @@ serialized structure) over all vertex/atom permutations.  Both searches
 label each isomorphism orbit once: a code's (or orbit mask's) images under
 every permutation are marked visited, so the other members of its orbit are
 skipped (the simplest case of McKay's isomorph-free generation,
-J. Algorithms 26, 1998).  The structure search runs the axiom suite only on
-the least mask of each orbit; its representatives are found once and then
-split across workers, whose results are merged by canonical key in
-enumeration order, so reports are identical across worker counts.  The
-frame search is one work item: its orbits are labeled in one pass over the
-codes with one visited array.
+J. Algorithms 26, 1998).  Each permutation's images are read from two
+tables built per call, one for the low half of a code's digits (or a mask's
+bits) and one for the high half, so an image is the sum of two entries, and
+the walk finds the next unvisited code or mask with ``bytearray.find``.
+The structure search runs the axiom suite only on the least mask of each
+orbit; its representatives are found once and then split across workers,
+whose results are merged by canonical key in enumeration order, so reports
+are identical across worker counts.  The frame search is one work item.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ def _code_maps(k: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]
 
     A code has one base-3 digit per pair i < j: 0 for i->j, 1 for j->i, 2 for
     both.  Matrix bit i*k + j is the edge i->j; the loops are left out here.
+    Distinct pairs set distinct bits, so the bit contributions add.
     """
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     slot = {pair: p for p, pair in enumerate(pairs)}
