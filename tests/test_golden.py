@@ -17,6 +17,11 @@ from tensebench.cli import main
 GOLDEN = {
     ("audit", "all", "--format", "records"):
         "0b65c7013fadbe19af287936e974290e39cc840006499f7173a98c0a41baa576",
+    # text adds the grid lines and the notes, which records leave out
+    ("audit", "all"):
+        "6cc857803cdd8d8b2ca3a8142dcab97f2d6edffd9a3600709adcb74882d383d8",
+    ("audit", "4or5", "--s", "{3}", "--seed", "7"):
+        "9bc2195e527c06d2237fe1955e1781fc51958bc6e311b8f634379ac14fc989d3",
     ("distinguish", "--s", "{3}", "--t", "{5}", "--format", "records"):
         "7e5ccc3313879572d3c7e34b2b2fbaedfdf735c99e7473845dc04217032291b7",
     ("distinguish", "--s", "{3,9,41}", "--t", "{3,9}", "--format", "records"):
@@ -106,6 +111,43 @@ def axioms_stdout(capsys, monkeypatch, tmp_path, case):
 def test_relalg_axioms_digest(capsys, monkeypatch, tmp_path, case):
     out = axioms_stdout(capsys, monkeypatch, tmp_path, case)
     assert hashlib.sha256(out.encode()).hexdigest() == AXIOMS_GOLDEN[case]
+
+
+# `tw relalg expand --in structure.txt` on the same seeded structures
+EXPAND_GOLDEN = {
+    (1, 0, "closed", 0.1):
+        "67a0884f9308e2fa3a46b9e7523d4fdbf6fcee77b1b37fee48dce7af14b0764f",
+    (1, 0, "raw", 0.1):
+        "78b3cae0676f61236cc33bfd572e05820275dce44edbbb24d8863fcab896aac4",
+    (2, 0, "raw", 0.3):
+        "77fe6e23529527c4d1d62801fd1489d660e3fb8f0d65a09c463a1486be0757bc",
+    (3, 0, "closed", 0.1):
+        "dfa56fe4d3209ed7adb8c50b338a72df267408dd1f04ee03f9ef74a573d6e123",
+    (3, 1, "raw", 0.3):
+        "5d35fe2eab8f7376e11ed3b4ab1cc59d06f09ed2443287283e3c625481f26348",
+    (3, 3, "dropped", 0.3):
+        "88d89527288fb2dd06755f4f200803d90f34cbefc8f19f7fe378fe5814196cd8",
+    (4, 0, "closed", 0.6):
+        "790f7feb56f891d51161906ec311551a012e1515ccbbc4392da56efa57e63d6d",
+    (4, 1, "dropped", 0.6):
+        "b0b25a6c0765bd23735f18ab3c067141d4a06965a229b97f3d2950c8590daa4f",
+    (4, 3, "closed", 0.1):
+        "f18f3ab223877be56f850990b2fe6b30240b17b9295de3e7d09a43c65b3b8bcd",
+    (5, 0, "dropped", 0.1):
+        "e1bd799c9ccd6a11238c51474595e553c531c85627444e9a412d5cca4ecb6b51",
+    (5, 1, "raw", 0.2):
+        "f2d2bdee1b5a872a941d558dfeefaee33cb2e918a760f41a71c01352cfd48bb2",
+    (5, 4, "closed", 0.3):
+        "c70473b5fe7ac6fa30c55c052f774ff7d0ceb04bbc8850ba52fb3a93b0c098d1",
+    (5, 5, "dropped", 0.3):
+        "779b359825c60b842c9ed4b50a74d9a4075961faebcab1e92569f6cf708fbc7c",
+}
+
+
+@pytest.mark.parametrize("case", list(EXPAND_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_relalg_expand_digest(capsys, monkeypatch, tmp_path, case):
+    out = relalg_stdout(capsys, monkeypatch, tmp_path, "expand", seeded_structure(*case))
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_GOLDEN[case]
 
 
 def test_relalg_axioms_cases_print_every_witness_law(capsys, monkeypatch, tmp_path):
