@@ -31,6 +31,7 @@ from .frames import (
     frame_to_text,
     is_reflexive,
     is_total,
+    iter_bits,
     parse_frame,
 )
 from .parallel import parallel_map
@@ -172,12 +173,11 @@ def _cmd_relalg(args) -> int:
         print(f"atoms={alg.atom_count} elements={alg.one + 1}")
         for a in range(alg.atom_count):
             for b in range(alg.atom_count):
-                bits = alg.comp_atom[a][b]
-                atoms = ",".join(str(c) for c in range(alg.atom_count) if bits >> c & 1)
+                atoms = ",".join(map(str, iter_bits(alg.comp_atom[a][b])))
                 print(f"comp {a} {b} = {{{atoms}}}")
         for a in range(alg.atom_count):
             print(f"conv {a} = {alg.conv_atom[a].bit_length() - 1}")
-        identity = ",".join(str(c) for c in range(alg.atom_count) if alg.identity >> c & 1)
+        identity = ",".join(map(str, iter_bits(alg.identity)))
         print(f"id = {{{identity}}}")
         return 0
     if args.sub == "axioms":

@@ -191,10 +191,7 @@ def build_truncation(
     levels = spec.level_hi - spec.level_lo + 1
     total = levels * width
     full = (1 << total) - 1
-    pattern_bits = 0
-    for n in range(1, width + 1):
-        if s.in_pattern(n):
-            pattern_bits |= 1 << (n - 1)
+    pattern_bits = s.pattern_mask(width + 1) >> 1  # bit n - 1 for pattern index n <= width
     succ = []
     pred = []
     for row in range(levels):

@@ -380,12 +380,9 @@ def structure_of(alg: FiniteRelAlgebra) -> AtomStructure:
     cycles = set()
     for a in range(k):
         for b in range(k):
-            mask = alg.comp_atom[a][b]
-            for c in range(k):
-                if mask >> c & 1:
-                    cycles.add((a, b, c))
+            cycles.update((a, b, c) for c in iter_bits(alg.comp_atom[a][b]))
     converse = tuple(alg.conv_atom[a].bit_length() - 1 for a in range(k))
-    identity = frozenset(c for c in range(k) if alg.identity >> c & 1)
+    identity = frozenset(iter_bits(alg.identity))
     return AtomStructure(k, converse, identity, frozenset(cycles))
 
 

@@ -182,9 +182,6 @@ class FiniteHandle:
     def card(self, a) -> int | None:
         return int(a).bit_count()
 
-    def atom_test(self, a) -> bool:
-        return self.card(a) == 1
-
     def atoms(self):
         return self.alg.atoms()
 
@@ -226,9 +223,6 @@ class SymbolicHandle:
 
     def card(self, a) -> int | None:
         return sym.cardinality(a).count
-
-    def atom_test(self, a) -> bool:
-        return sym.atom_test(a)
 
     def atoms(self):
         raise UnsupportedQueryError("cannot enumerate the atoms of an infinite carrier")
@@ -371,16 +365,6 @@ class Exists(Formula):
 class Forall(Formula):
     names: tuple[str, ...]
     body: Formula
-
-
-def formula_free_vars(fm: Formula) -> frozenset[str]:
-    if isinstance(fm, (Eq, Neq)):
-        return free_vars(fm.left) | free_vars(fm.right)
-    if isinstance(fm, (And, Or)):
-        return formula_free_vars(fm.left) | formula_free_vars(fm.right)
-    if isinstance(fm, NotF):
-        return formula_free_vars(fm.arg)
-    return formula_free_vars(fm.body) - frozenset(fm.names)
 
 
 def _fresh(base: str, avoid: str) -> str:

@@ -52,9 +52,9 @@ class TestBuildTruncation:
         assert frame.has_edge(v(1, 2), v(0, 5))
 
     def test_matches_pointwise_predicate(self):
-        for text in ("empty", "{3}", "O"):
+        for text in ("empty", "{3}", "O", "{3,7}", "O\\{5}"):
             s = parse_sparam(text)
-            frame = build_truncation(TruncationSpec(-2, 2, 6), s)
+            frame = build_truncation(TruncationSpec(-2, 2, 10), s)
             for a in frame.vertices:
                 for b in frame.vertices:
                     assert frame.has_edge(a, b) == edge_present(s, a, b)
