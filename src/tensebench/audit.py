@@ -5,15 +5,17 @@ parameter grid, adjudicating the *printed* form of every claim against the
 rule-based engine and (where margins allow) against the finite truncation
 oracle.  Known-wrong printed forms are not silently corrected: the audit
 reports them as counterexamples and a shipped allowlist marks the documented
-deviation families so they do not fail a run.  Everything is a pure function
-of (parameter, grid, seed); reports are byte-identical across runs and
-worker counts.
+deviation families so they do not fail a run.  Each lemma has one fixed
+grid, kept next to it, and its report is a pure function of the parameter
+and, for the sampled lemmas, the seed; reports are byte-identical across
+runs and worker counts.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from . import symbolic as sym
@@ -241,10 +243,8 @@ def _finish(lemma: str, s: SParameter, grid: str, raw: Iterable[AuditEntry]) -> 
         if e.status == "Counterexample" and not e.allowlisted:
             key = _allowlist_key(lemma, e)
             if key is not None:
-                e = AuditEntry(
-                    e.claim, e.status, e.witness, e.expected, e.actual, True,
-                    (e.note + "; " if e.note else "") + f"allow:{key}",
-                )
+                e = replace(e, allowlisted=True,
+                            note=(e.note + "; " if e.note else "") + f"allow:{key}")
         entries.append(e)
     return AuditReport(lemma, str(s), grid, tuple(entries))
 
@@ -253,10 +253,39 @@ def _finish(lemma: str, s: SParameter, grid: str, raw: Iterable[AuditEntry]) -> 
 # shared helpers
 
 
-def sample_element(rng: random.Random, s: SParameter, max_parts: int = 6) -> SymbolicSet:
-    """Random union of up to max_parts basis sets with |level| <= 3, index <= 12."""
+def _span(values: range) -> str:
+    """The first and last value of a range as "[lo,hi]"."""
+    return f"[{values[0]},{values[-1]}]"
+
+
+def _power(op: Callable[[SymbolicSet], SymbolicSet], x: SymbolicSet, k: int) -> SymbolicSet:
+    """op applied k times to x."""
+    for _ in range(k):
+        x = op(x)
+    return x
+
+
+def _entry_eq(
+    claim: str, witness: str, actual: SymbolicSet | bool, expected: SymbolicSet | bool,
+    note: str = "",
+) -> AuditEntry:
+    """Confirmed when the computed value equals the claimed one, else a
+    counterexample that shows both and carries the note.  Sets are compared
+    by `sym.is_equal`, which raises ValueError on sets over different
+    parameters, and shown by `sym.display`; truth values by == and `str`."""
+    if isinstance(actual, bool):
+        equal, show = actual == expected, str
+    else:
+        equal, show = sym.is_equal(actual, expected), sym.display
+    if equal:
+        return AuditEntry(claim, "Confirmed")
+    return AuditEntry(claim, "Counterexample", witness, show(expected), show(actual), note=note)
+
+
+def sample_element(rng: random.Random, s: SParameter) -> SymbolicSet:
+    """Random union of up to 6 basis sets with |level| <= 3, index <= 12."""
     out = sym.empty_set(s)
-    for _ in range(rng.randint(0, max_parts)):
+    for _ in range(rng.randint(0, 6)):
         kind = rng.choice(["A", "A", "S", "Sbar", "V", "D", "U"])
         level = rng.randint(-3, 3)
         index = rng.randint(1, 12) if kind in ("A", "S", "Sbar") else None
@@ -264,39 +293,40 @@ def sample_element(rng: random.Random, s: SParameter, max_parts: int = 6) -> Sym
     return out
 
 
-_frame_cache: dict[tuple[TruncationSpec, SParameter], object] = {}
-
-
-def _cached_frame(spec: TruncationSpec, s: SParameter):
-    key = (spec, s)
-    if key not in _frame_cache:
-        _frame_cache[key] = build_truncation(spec, s)
-    return _frame_cache[key]
+@functools.cache
+def _oracle_frame(s: SParameter):
+    return build_truncation(ORACLE_WINDOW, s)
 
 
 def _oracle_agrees(s: SParameter, x: SymbolicSet, result: SymbolicSet, op: str) -> bool:
     """Compare a symbolic image/preimage against the truncation oracle on the
     window shrunk by one step.  Both sides are vertex masks in the frame's
     vertex order, which is ``ORACLE_WINDOW.vertices()`` order."""
-    frame = _cached_frame(ORACLE_WINDOW, s)
     fn = complex_f if op == "f" else complex_g
-    want = fn(frame, sym.window_mask(x, ORACLE_WINDOW))
+    want = fn(_oracle_frame(s), sym.window_mask(x, ORACLE_WINDOW))
     got = sym.window_mask(result, ORACLE_WINDOW)
     return (want ^ got) & _ORACLE_INNER_MASK == 0
+
+
+def _oracle_disagreement(claim: str, b: sym.BasisSet, result: SymbolicSet) -> AuditEntry:
+    """The entry for an engine image/preimage of basis set b that fails `_oracle_agrees`."""
+    return AuditEntry(claim, "Counterexample", str(b), "oracle image", sym.display(result),
+                      note="engine disagrees with oracle")
 
 
 # ---------------------------------------------------------------------------
 # the image/preimage clause audit
 
 
-def _printed_t(s: SParameter, m: int) -> tuple[tuple[int, ...], bool]:
-    """The printed guard set {n >= m : n off-pattern}, which includes 1 at m=1."""
-    return s.off_pattern_from(m)
+# the grid: every clause at every level here, and the indexed subjects at m <= 12
+_FG_LEVELS = range(-3, 4)
+_FG_M_MAX = 12
 
 
 def _fg_rhs_printed(s: SParameter, clause: int, p: int, m: int) -> SymbolicSet | None:
     """The printed right-hand side, or None when the clause's guard is off."""
-    listed, infinite = _printed_t(s, m)
+    # the printed guard set T = {n >= m : n off-pattern}, which includes 1 at m=1
+    listed, infinite = s.off_pattern_from(m)
     u = lambda *parts: sym.union_all(s, parts)
     a, srow, sbar = sym.basis_a, sym.basis_srow, sym.basis_sbar
     d, uu = sym.basis_d, sym.basis_u
@@ -357,11 +387,11 @@ _CLAUSE_SUBJECT = {
 }
 
 
-def _fg_point(s: SParameter, p: int, m_max: int) -> list[AuditEntry]:
+def _fg_point(s: SParameter, p: int) -> list[AuditEntry]:
     entries = []
     for clause in range(1, 18):
         kind, op = _CLAUSE_SUBJECT[clause]
-        ms = [None] if kind in ("D", "U") else list(range(1, m_max + 1))
+        ms = [None] if kind in ("D", "U") else list(range(1, _FG_M_MAX + 1))
         for m in ms:
             rhs = _fg_rhs_printed(s, clause, p, m if m is not None else 1)
             if rhs is None:
@@ -370,54 +400,38 @@ def _fg_point(s: SParameter, p: int, m_max: int) -> list[AuditEntry]:
             x = sym.basis(s, b)
             lhs = sym.apply_f(x) if op == "f" else sym.apply_g(x)
             claim = f"clause={clause} op={op} p={p}" + (f" m={m}" if m is not None else "")
-            if not _oracle_agrees(s, x, lhs, op):
-                entries.append(
-                    AuditEntry(claim, "Counterexample", str(b), "oracle image",
-                               sym.display(lhs), note="engine disagrees with oracle")
-                )
-                continue
-            if sym.is_equal(lhs, rhs):
-                entries.append(AuditEntry(claim, "Confirmed"))
+            if _oracle_agrees(s, x, lhs, op):
+                entries.append(_entry_eq(claim, f"{op}({b})", lhs, rhs))
             else:
-                entries.append(
-                    AuditEntry(claim, "Counterexample", f"{op}({b})",
-                               sym.display(rhs), sym.display(lhs))
-                )
+                entries.append(_oracle_disagreement(claim, b, lhs))
     return entries
 
 
-def audit_fg(
-    s: SParameter, level_lo: int = -3, level_hi: int = 3, m_max: int = 12
-) -> AuditReport:
+def audit_fg(s: SParameter) -> AuditReport:
     """Check all 17 printed image/preimage clauses on the grid, against the
     rule engine and the truncation oracle."""
-    entries = [e for p in range(level_lo, level_hi + 1) for e in _fg_point(s, p, m_max)]
-    grid = f"p in [{level_lo},{level_hi}], m <= {m_max}"
-    return _finish("fg", s, grid, entries)
+    entries = [e for p in _FG_LEVELS for e in _fg_point(s, p)]
+    return _finish("fg", s, f"p in {_span(_FG_LEVELS)}, m <= {_FG_M_MAX}", entries)
 
 
 # ---------------------------------------------------------------------------
 # the closure-identity audit
 
-
-def _entry_eq(claim: str, witness: str, actual: SymbolicSet, expected: SymbolicSet) -> AuditEntry:
-    if sym.is_equal(actual, expected):
-        return AuditEntry(claim, "Confirmed")
-    return AuditEntry(
-        claim, "Counterexample", witness, sym.display(expected), sym.display(actual)
-    )
+# the grid: levels p, q and indices m, n of the printed identities, and the
+# number of random closure probes
+_DESC_LEVELS = range(-2, 3)
+_DESC_INDICES = range(1, 7)
+_DESC_SAMPLES = 50
 
 
-def audit_desc(s: SParameter, sample_count: int = 50, seed: int = DEFAULT_SEED) -> AuditReport:
+def audit_desc(s: SParameter, seed: int = DEFAULT_SEED) -> AuditReport:
     """The printed complement/intersection identities plus random closure probes."""
     entries: list[AuditEntry] = []
     a, srow, sbar = sym.basis_a, sym.basis_srow, sym.basis_sbar
     d, uu, vrow = sym.basis_d, sym.basis_u, sym.basis_vrow
     u = lambda *parts: sym.union_all(s, parts)
-    levels = range(-2, 3)
-    indices = range(1, 7)
-    for p in levels:
-        for q in levels:
+    for p in _DESC_LEVELS:
+        for q in _DESC_LEVELS:
             entries.append(_entry_eq(
                 f"identity=U-meet-U p={p} q={q}", f"U({p}) & U({q})",
                 sym.intersect(uu(s, p), uu(s, q)), uu(s, max(p, q))))
@@ -456,9 +470,9 @@ def audit_desc(s: SParameter, sample_count: int = 50, seed: int = DEFAULT_SEED) 
                     entries.append(AuditEntry(
                         claim, "Counterexample", f"A({p},{m})",
                         "empty or the singleton", sym.display(got)))
-    for p in levels:
-        for m in indices:
-            for n in indices:
+    for p in _DESC_LEVELS:
+        for m in _DESC_INDICES:
+            for n in _DESC_INDICES:
                 entries.append(_entry_eq(
                     f"identity=S-meet-S p={p} m={m} n={n}", f"S({p},{m}) & S({p},{n})",
                     sym.intersect(srow(s, p, m), srow(s, p, n)), srow(s, p, max(m, n))))
@@ -473,14 +487,14 @@ def audit_desc(s: SParameter, sample_count: int = 50, seed: int = DEFAULT_SEED) 
                     f"identity=Sbar-meet-Sbar-printed p={p} m={m} n={n}",
                     f"Sbar({p},{m}) & Sbar({p},{n})",
                     sym.intersect(sbar(s, p, m), sbar(s, p, n)), srow(s, p, max(m, n))))
-    for p in levels:
+    for p in _DESC_LEVELS:
         entries.append(_entry_eq(
             f"identity=U-complement p={p}", f"~U({p})",
             sym.complement(uu(s, p)), d(s, p - 1)))
         entries.append(_entry_eq(
             f"identity=D-complement p={p}", f"~D({p})",
             sym.complement(d(s, p)), uu(s, p + 1)))
-        for m in indices:
+        for m in _DESC_INDICES:
             entries.append(_entry_eq(
                 f"identity=A-complement p={p} m={m}", f"~A({p},{m})",
                 sym.complement(a(s, p, m)),
@@ -497,7 +511,7 @@ def audit_desc(s: SParameter, sample_count: int = 50, seed: int = DEFAULT_SEED) 
                 u(*[a(s, p, n) for n in range(1, m)], srow(s, p, m),
                   uu(s, p + 1), d(s, p - 1))))
     rng = random.Random(seed)
-    for i in range(sample_count):
+    for i in range(_DESC_SAMPLES):
         x = sample_element(rng, s)
         y = sample_element(rng, s)
         claim = f"identity=closure sample={i}"
@@ -510,7 +524,8 @@ def audit_desc(s: SParameter, sample_count: int = 50, seed: int = DEFAULT_SEED) 
             entries.append(AuditEntry(claim, "Confirmed"))
         except ValueError as exc:
             entries.append(AuditEntry(claim, "Counterexample", sym.display(x), "canonical", str(exc)))
-    grid = "p,q in [-2,2], m,n <= 6, plus random closure probes"
+    grid = (f"p,q in {_span(_DESC_LEVELS)}, m,n <= {_DESC_INDICES[-1]}, "
+            "plus random closure probes")
     return _finish("desc", s, grid, entries)
 
 
@@ -518,12 +533,15 @@ def audit_desc(s: SParameter, sample_count: int = 50, seed: int = DEFAULT_SEED) 
 # the double-step window audit
 
 
-def audit_4or5(s: SParameter, samples: int = 200, seed: int = DEFAULT_SEED) -> AuditReport:
+_4OR5_SAMPLES = 200
+
+
+def audit_4or5(s: SParameter, seed: int = DEFAULT_SEED) -> AuditReport:
     """For sampled elements with a maximal nonempty level q, the fourth/second
     (or fifth/third) image difference is exactly the row at q+2."""
     entries = []
     rng = random.Random(seed)
-    for i in range(samples):
+    for i in range(_4OR5_SAMPLES):
         x = sample_element(rng, s)
         extent = sym.max_level(x)
         if extent.kind != "level":
@@ -531,36 +549,35 @@ def audit_4or5(s: SParameter, samples: int = 200, seed: int = DEFAULT_SEED) -> A
             entries.append(AuditEntry(f"case=skip sample={i}", "Skipped", note=reason))
             continue
         q = extent.level
-        f = sym.apply_f
-        if sym.row_contains(s, x.row_at(q), 1):
-            f2 = f(f(x))
-            f4 = f(f(f2))
-            got = sym.intersect(f4, sym.complement(f2))
-            claim = f"case=1 sample={i} q={q}"
-        else:
-            f3 = f(f(f(x)))
-            f5 = f(f(f3))
-            got = sym.intersect(f5, sym.complement(f3))
-            claim = f"case=2 sample={i} q={q}"
-        entries.append(_entry_eq(claim, sym.display(x), got, sym.basis_vrow(s, q + 2)))
-    return _finish("4or5", s, f"{samples} random elements, seed={seed:#x}", entries)
+        # case 1 (index 1 in the top row) takes f^4 minus f^2, case 2 f^5 minus f^3
+        case = 1 if sym.row_contains(s, x.row_at(q), 1) else 2
+        low = _power(sym.apply_f, x, case + 1)
+        got = sym.intersect(_power(sym.apply_f, low, 2), sym.complement(low))
+        entries.append(_entry_eq(f"case={case} sample={i} q={q}", sym.display(x), got,
+                                 sym.basis_vrow(s, q + 2)))
+    grid = f"{_4OR5_SAMPLES} random elements, seed={seed:#x}"
+    return _finish("4or5", s, grid, entries)
 
 
 # ---------------------------------------------------------------------------
 # the step-term audit
 
 
-def audit_steps(s: SParameter, level_lo: int = -2, level_hi: int = 2, n_max: int = 24) -> AuditReport:
+_STEPS_LEVELS = range(-2, 3)
+_STEPS_N_MAX = 24
+
+
+def audit_steps(s: SParameter) -> AuditReport:
     """sigma on index-1 atoms, and both readings of the step-term claim."""
     entries = []
     handle = tm.SymbolicHandle(s)
-    for p in range(level_lo, level_hi + 1):
+    for p in _STEPS_LEVELS:
         a1 = sym.basis_a(s, p, 1)
         got = tm.eval_term(tm.sigma(), handle, {"x": a1})
         entries.append(_entry_eq(f"term=sigma p={p}", f"sigma(A({p},1))", got,
                                  sym.basis_a(s, p, 2)))
         sig_val = got
-        for n in range(3, n_max + 1):
+        for n in range(3, _STEPS_N_MAX + 1):
             nu_term = tm.nu(n)
             direct = tm.eval_term(nu_term, handle, {"x": a1})
             entries.append(_entry_eq(
@@ -575,7 +592,7 @@ def audit_steps(s: SParameter, level_lo: int = -2, level_hi: int = 2, n_max: int
         entries.append(_entry_eq(
             f"term=nu n=4 p={p} reading=proof-line-nu4", f"nu_4(A({p},1))",
             nu4, sym.basis_a(s, p, 3)))
-    grid = f"p in [{level_lo},{level_hi}], 3 <= n <= {n_max}"
+    grid = f"p in {_span(_STEPS_LEVELS)}, 3 <= n <= {_STEPS_N_MAX}"
     return _finish("steps", s, grid, entries)
 
 
@@ -583,53 +600,47 @@ def audit_steps(s: SParameter, level_lo: int = -2, level_hi: int = 2, n_max: int
 # the generation-replay audit
 
 
-def audit_bgen(s: SParameter, level_lo: int = -2, level_hi: int = 2, m_max: int = 8) -> AuditReport:
+# the grid: levels q and indices m derived; the row tower below covers the
+# levels next to them, -3..3
+_BGEN_LEVELS = range(-2, 3)
+_BGEN_M_MAX = 8
+
+
+def audit_bgen(s: SParameter) -> AuditReport:
     """Derive every basis element in the window from the level-0 row using the
     generation script's explicit terms."""
     entries = []
     handle = tm.SymbolicHandle(s)
     f, g, comp, inter = sym.apply_f, sym.apply_g, sym.complement, sym.intersect
     v0 = sym.basis_vrow(s, 0)
-
-    def f_pow(x, k):
-        for _ in range(k):
-            x = f(x)
-        return x
-
-    def g_pow(x, k):
-        for _ in range(k):
-            x = g(x)
-        return x
-
     for k in range(1, 5):
         entries.append(_entry_eq(f"term=f-tower m={k}", f"f^{2 * k}(V(0))",
-                                 f_pow(v0, 2 * k), sym.basis_d(s, k)))
+                                 _power(f, v0, 2 * k), sym.basis_d(s, k)))
         entries.append(_entry_eq(f"term=g-tower m={k}", f"g^{2 * k}(V(0))",
-                                 g_pow(v0, 2 * k), sym.basis_u(s, -k)))
+                                 _power(g, v0, 2 * k), sym.basis_u(s, -k)))
     # rows: upward differences from V(0), then downward via the preimage route
     rows: dict[int, SymbolicSet] = {0: v0}
     for q in (2, 3):
-        rows[q] = inter(f_pow(v0, 2 * q), comp(f_pow(v0, 2 * (q - 1))))
-    rows[1] = inter(g_pow(rows[3], 4), comp(g_pow(rows[3], 2)))
-    rows[-1] = inter(g_pow(rows[1], 4), comp(g_pow(rows[1], 2)))
-    rows[-2] = inter(g_pow(v0, 4), comp(g_pow(v0, 2)))
-    rows[-3] = inter(g_pow(rows[-1], 4), comp(g_pow(rows[-1], 2)))
+        rows[q] = inter(_power(f, v0, 2 * q), comp(_power(f, v0, 2 * (q - 1))))
+    rows[1] = inter(_power(g, rows[3], 4), comp(_power(g, rows[3], 2)))
+    rows[-1] = inter(_power(g, rows[1], 4), comp(_power(g, rows[1], 2)))
+    rows[-2] = inter(_power(g, v0, 4), comp(_power(g, v0, 2)))
+    rows[-3] = inter(_power(g, rows[-1], 4), comp(_power(g, rows[-1], 2)))
     for q in sorted(rows):
         entries.append(_entry_eq(f"term=V q={q}", f"row tower at {q}", rows[q],
                                  sym.basis_vrow(s, q)))
     # the printed lower-row extraction complements the wrong factor
     entries.append(_entry_eq(
         "term=lower-row-printed q=-2", "g^4(V(0))' & g^2(V(0))",
-        inter(comp(g_pow(v0, 4)), g_pow(v0, 2)), sym.basis_vrow(s, -2)))
-    ds = {q: f(f(rows[q - 1])) for q in range(level_lo, level_hi + 1)}
-    us = {q: g(g(rows[q + 1])) for q in range(level_lo, level_hi + 1)}
-    for q in range(level_lo, level_hi + 1):
+        inter(comp(_power(g, v0, 4)), _power(g, v0, 2)), sym.basis_vrow(s, -2)))
+    ds = {q: f(f(rows[q - 1])) for q in _BGEN_LEVELS}
+    us = {q: g(g(rows[q + 1])) for q in _BGEN_LEVELS}
+    for q in _BGEN_LEVELS:
         entries.append(_entry_eq(f"term=D q={q}", f"f^2(V({q - 1}))", ds[q], sym.basis_d(s, q)))
         entries.append(_entry_eq(f"term=U q={q}", f"g^2(V({q + 1}))", us[q], sym.basis_u(s, q)))
-    u_plus = {q: g(g(rows[q + 1])) for q in range(level_lo, level_hi + 2) if q + 1 in rows}
     atoms: dict[tuple[int, int], SymbolicSet] = {}
-    for q in range(level_lo, level_hi + 1):
-        uq1 = u_plus[q + 1] if q + 1 in u_plus else sym.basis_u(s, q + 1)
+    for q in _BGEN_LEVELS:
+        uq1 = us[q + 1] if q + 1 in us else sym.basis_u(s, q + 1)
         a1 = inter(g(uq1), comp(uq1))
         atoms[(q, 1)] = a1
         entries.append(_entry_eq(f"term=A1 q={q}", f"g(U({q + 1})) & ~U({q + 1})",
@@ -638,7 +649,7 @@ def audit_bgen(s: SParameter, level_lo: int = -2, level_hi: int = 2, m_max: int 
         atoms[(q, 2)] = sig
         entries.append(_entry_eq(f"term=A q={q} m=2", f"sigma(A({q},1))", sig,
                                  sym.basis_a(s, q, 2)))
-        for m in range(3, m_max + 1):
+        for m in range(3, _BGEN_M_MAX + 1):
             val = tm.eval_term(tm.nu(m), handle, {"x": a1})
             atoms[(q, m)] = val
             entries.append(_entry_eq(f"term=A q={q} m={m}", f"nu_{m}(A({q},1))", val,
@@ -647,8 +658,8 @@ def audit_bgen(s: SParameter, level_lo: int = -2, level_hi: int = 2, m_max: int 
     entries.append(_entry_eq(
         "term=A1-printed q=1", "g(U(2)) & ~U(2) vs A(0,1)",
         inter(g(sym.basis_u(s, 2)), comp(sym.basis_u(s, 2))), sym.basis_a(s, 0, 1)))
-    for q in range(level_lo, level_hi + 1):
-        for m in range(1, m_max + 1):
+    for q in _BGEN_LEVELS:
+        for m in range(1, _BGEN_M_MAX + 1):
             prior = sym.union_all(s, [atoms[(q, n)] for n in range(1, m)])
             got = inter(f(ds[q - 1] if q - 1 in ds else sym.basis_d(s, q - 1)),
                         comp(sym.union(prior, sym.basis_d(s, q - 1))))
@@ -670,7 +681,7 @@ def audit_bgen(s: SParameter, level_lo: int = -2, level_hi: int = 2, m_max: int 
                 entries.append(_entry_eq(
                     f"term=Sbar-printed q={q} m=1", "printed complement union",
                     comp(printed), sym.basis_sbar(s, q, 1)))
-    grid = f"p in [{level_lo},{level_hi}], m <= {m_max}, derived from V(0)"
+    grid = f"p in {_span(_BGEN_LEVELS)}, m <= {_BGEN_M_MAX}, derived from V(0)"
     return _finish("bgen", s, grid, entries)
 
 
@@ -678,13 +689,16 @@ def audit_bgen(s: SParameter, level_lo: int = -2, level_hi: int = 2, m_max: int 
 # the image-of-complement and maximal-level audit
 
 
-def audit_top(s: SParameter, samples: int = 100, seed: int = DEFAULT_SEED) -> AuditReport:
+_TOP_SAMPLES = 100
+
+
+def audit_top(s: SParameter, seed: int = DEFAULT_SEED) -> AuditReport:
     """At most one of f(X), f(X') is everything; and a nonempty X with
     f(X) != V has a maximal nonempty level."""
     entries = []
     rng = random.Random(seed)
     full = sym.full_set(s)
-    for i in range(samples):
+    for i in range(_TOP_SAMPLES):
         x = sample_element(rng, s)
         fx = sym.apply_f(x)
         fxc = sym.apply_f(sym.complement(x))
@@ -704,35 +718,32 @@ def audit_top(s: SParameter, samples: int = 100, seed: int = DEFAULT_SEED) -> Au
         else:
             entries.append(AuditEntry(claim, "Counterexample", sym.display(x),
                                       "a maximal level", sym.max_level(x).kind))
-    return _finish("top", s, f"{samples} random elements, seed={seed:#x}", entries)
+    return _finish("top", s, f"{_TOP_SAMPLES} random elements, seed={seed:#x}", entries)
 
 
 # ---------------------------------------------------------------------------
 # the sentence audit
 
 
-def _sent_point(s: SParameter, p: int, m_max: int, n_max: int) -> list[AuditEntry]:
+# the grid: atoms A(p, m) and the tau_n for 3 <= n <= _SENT_N_MAX; the
+# witness search for tau_n looks at indices up to _SENT_M_MAX as well
+_SENT_LEVELS = range(-1, 2)
+_SENT_M_MAX = 24
+_SENT_N_MAX = 12
+
+
+def _sent_point(s: SParameter, p: int) -> list[AuditEntry]:
     entries = []
     handle = tm.SymbolicHandle(s)
     phi_fm = tm.phi()
-    for m in range(1, m_max + 1):
+    for m in range(1, _SENT_M_MAX + 1):
         atom = sym.basis_a(s, p, m)
         world = "in" if s.in_pattern(m) else "out"
         got = tm.eval_formula(phi_fm, handle, {"x": atom})
-        printed = m == 1
-        claim = f"check=phi-printed p={p} m={m} pattern={world}"
-        if got == printed:
-            entries.append(AuditEntry(claim, "Confirmed"))
-        else:
-            entries.append(AuditEntry(claim, "Counterexample", f"A({p},{m})",
-                                      str(printed), str(got)))
-        derived = m == 1 or s.in_pattern(m)
-        claim = f"check=phi-derived p={p} m={m}"
-        if got == derived:
-            entries.append(AuditEntry(claim, "Confirmed"))
-        else:
-            entries.append(AuditEntry(claim, "Counterexample", f"A({p},{m})",
-                                      str(derived), str(got)))
+        entries.append(_entry_eq(f"check=phi-printed p={p} m={m} pattern={world}",
+                                 f"A({p},{m})", got, m == 1))
+        entries.append(_entry_eq(f"check=phi-derived p={p} m={m}",
+                                 f"A({p},{m})", got, m == 1 or s.in_pattern(m)))
         # the meet of the two operator images, printed vs derived
         meet = sym.intersect(sym.apply_f(atom), sym.apply_g(atom))
         if m == 1:
@@ -755,39 +766,27 @@ def _sent_point(s: SParameter, p: int, m_max: int, n_max: int) -> list[AuditEntr
         entries.append(_entry_eq(
             f"check=meet-derived p={p} m={m}",
             f"f(A({p},{m})) & g(A({p},{m}))", meet, derived_val))
-    for n in range(3, n_max + 1):
+    for n in range(3, _SENT_N_MAX + 1):
         fm = tm.tau(n)
-        for m in range(1, m_max + 1):
+        for m in range(1, _SENT_M_MAX + 1):
             got = tm.eval_formula(fm, handle, {"x": sym.basis_a(s, p, m)})
-            want = s.in_pattern(n) and m == 1
-            claim = f"check=tau n={n} p={p} m={m}"
-            if got == want:
-                entries.append(AuditEntry(claim, "Confirmed"))
-            else:
-                entries.append(AuditEntry(claim, "Counterexample", f"A({p},{m})",
-                                          str(want), str(got)))
+            entries.append(_entry_eq(f"check=tau n={n} p={p} m={m}", f"A({p},{m})", got,
+                                     s.in_pattern(n) and m == 1))
     return entries
 
 
-def audit_sent(
-    s: SParameter, m_max: int = 24, level_lo: int = -1, level_hi: int = 1,
-    n_max: int = 12,
-) -> AuditReport:
+def audit_sent(s: SParameter) -> AuditReport:
     """Exact phi- and tau-truth sets over the atom window, plus the printed
     operator-meet formulas, and the existence of tau witnesses."""
-    entries = [
-        e for p in range(level_lo, level_hi + 1) for e in _sent_point(s, p, m_max, n_max)
-    ]
-    for n in range(3, n_max + 1):
-        result = tm.exists_tau_witness(s, n, m_bound=m_max)
-        want = s.in_pattern(n)
-        claim = f"check=exists-tau n={n}"
-        if result.found == want:
-            entries.append(AuditEntry(claim, "Confirmed", note=str(result)))
-        else:
-            entries.append(AuditEntry(claim, "Counterexample", str(result),
-                                      str(want), str(result.found)))
-    grid = f"p in [{level_lo},{level_hi}], m <= {m_max}, n <= {n_max}"
+    entries = [e for p in _SENT_LEVELS for e in _sent_point(s, p)]
+    for n in range(3, _SENT_N_MAX + 1):
+        result = tm.exists_tau_witness(s, n, m_bound=_SENT_M_MAX)
+        entry = _entry_eq(f"check=exists-tau n={n}", str(result), result.found, s.in_pattern(n))
+        # a confirmed entry prints no witness, so the search's result goes in its note
+        if entry.status == "Confirmed":
+            entry = replace(entry, note=str(result))
+        entries.append(entry)
+    grid = f"p in {_span(_SENT_LEVELS)}, m <= {_SENT_M_MAX}, n <= {_SENT_N_MAX}"
     return _finish("sent", s, grid, entries)
 
 
@@ -804,35 +803,30 @@ def _cross_point(s: SParameter, b: sym.BasisSet) -> list[AuditEntry]:
     ):
         claim = f"path={op} basis={b}"
         lhs = rule(x)
-        rhs = table(x)
-        if not sym.is_equal(lhs, rhs):
-            entries.append(AuditEntry(claim, "Counterexample", str(b),
-                                      sym.display(rhs), sym.display(lhs),
-                                      note="rule path vs clause table"))
-        elif not _oracle_agrees(s, x, lhs, op):
-            entries.append(AuditEntry(claim, "Counterexample", str(b),
-                                      "oracle image", sym.display(lhs),
-                                      note="engine disagrees with oracle"))
-        else:
-            entries.append(AuditEntry(claim, "Confirmed"))
+        entry = _entry_eq(claim, str(b), lhs, table(x), note="rule path vs clause table")
+        if entry.status == "Confirmed" and not _oracle_agrees(s, x, lhs, op):
+            entry = _oracle_disagreement(claim, b, lhs)
+        entries.append(entry)
     return entries
 
 
-def cross_validate(
-    s: SParameter, level_lo: int = -3, level_hi: int = 3, m_max: int = 12,
-    samples: int = 500, seed: int = DEFAULT_SEED,
-) -> AuditReport:
+_CROSS_LEVELS = range(-3, 4)
+_CROSS_M_MAX = 12
+_CROSS_SAMPLES = 500
+
+
+def cross_validate(s: SParameter, seed: int = DEFAULT_SEED) -> AuditReport:
     """Rule path = clause table = truncation oracle on the basis grid, and
     rule path = clause table on random unions."""
     entries = []
-    for p in range(level_lo, level_hi + 1):
+    for p in _CROSS_LEVELS:
         for kind in ("D", "U", "V"):
             entries += _cross_point(s, sym.BasisSet(kind, p))
-        for m in range(1, m_max + 1):
+        for m in range(1, _CROSS_M_MAX + 1):
             for kind in ("A", "S", "Sbar"):
                 entries += _cross_point(s, sym.BasisSet(kind, p, m))
     rng = random.Random(seed)
-    for i in range(samples):
+    for i in range(_CROSS_SAMPLES):
         x = sample_element(rng, s)
         ok_f = sym.is_equal(sym.apply_f(x), sym.apply_f_table(x))
         ok_g = sym.is_equal(sym.apply_g(x), sym.apply_g_table(x))
@@ -842,7 +836,7 @@ def cross_validate(
         else:
             entries.append(AuditEntry(claim, "Counterexample", sym.display(x),
                                       "dual-path equality", f"f:{ok_f} g:{ok_g}"))
-    grid = f"basis p in [{level_lo},{level_hi}], m <= {m_max}; {samples} random unions"
+    grid = f"basis p in {_span(_CROSS_LEVELS)}, m <= {_CROSS_M_MAX}; {_CROSS_SAMPLES} random unions"
     return _finish("cross", s, grid, entries)
 
 

@@ -1,6 +1,8 @@
 """The audit reports: expected outcomes, determinism, allowlist behaviour,
 and self-certification of recorded counterexamples."""
 
+import inspect
+
 import pytest
 
 from tensebench import audit as au
@@ -208,7 +210,7 @@ class TestSent:
 class TestCross:
     def test_ok(self, family_param):
         _, s = family_param
-        report = au.cross_validate(s, samples=100)
+        report = au.cross_validate(s)
         assert report.ok, report.failures[:3]
         assert not report.counterexamples
 
@@ -289,6 +291,28 @@ class TestReportMechanics:
         for rule in au.ALLOWLIST:
             assert rule.lemma in au.AUDITS
             assert rule.reason and rule.key
+
+    def test_grids_are_fixed_and_only_sampled_lemmas_take_a_seed(self):
+        for lemma, fn in au.AUDITS.items():
+            expected = ["s", "seed"] if lemma in au._SEEDED else ["s"]
+            assert list(inspect.signature(fn).parameters) == expected, lemma
+        assert list(inspect.signature(au.sample_element).parameters) == ["rng", "s"]
+
+    def test_entry_eq_rejects_sets_over_different_parameters(self):
+        a1 = sym.basis_a(parse_sparam("{3}"), 0, 1)
+        b1 = sym.basis_a(parse_sparam("{5}"), 0, 1)
+        with pytest.raises(ValueError):
+            au._entry_eq("claim=x", "A(0,1)", a1, b1)
+
+    def test_entry_eq_shows_both_values_of_a_failed_claim(self):
+        s = parse_sparam("{3}")
+        assert au._entry_eq("c=1", "w", True, True) == au.AuditEntry("c=1", "Confirmed")
+        assert au._entry_eq("c=1", "w", True, False, note="n") == au.AuditEntry(
+            "c=1", "Counterexample", "w", "False", "True", note="n")
+        a1, a2 = sym.basis_a(s, 0, 1), sym.basis_a(s, 0, 2)
+        assert au._entry_eq("c=2", "w", a1, a1) == au.AuditEntry("c=2", "Confirmed")
+        assert au._entry_eq("c=2", "w", a1, a2) == au.AuditEntry(
+            "c=2", "Counterexample", "w", sym.display(a2), sym.display(a1))
 
 
 class RecordingPool:
