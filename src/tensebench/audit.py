@@ -293,7 +293,7 @@ def sample_element(rng: random.Random, s: SParameter) -> SymbolicSet:
     return out
 
 
-@functools.cache
+@functools.cache  # one frame per parameter, kept for the life of the process
 def _oracle_frame(s: SParameter):
     return build_truncation(ORACLE_WINDOW, s)
 
@@ -318,7 +318,8 @@ def _oracle_disagreement(claim: str, b: sym.BasisSet, result: SymbolicSet) -> Au
 # the image/preimage clause audit
 
 
-# the grid: every clause at every level here, and the indexed subjects at m <= 12
+# compared against the oracle, so kept well inside its inner window
+# (levels -7..7, indices 1..47)
 _FG_LEVELS = range(-3, 4)
 _FG_M_MAX = 12
 
@@ -417,8 +418,6 @@ def audit_fg(s: SParameter) -> AuditReport:
 # ---------------------------------------------------------------------------
 # the closure-identity audit
 
-# the grid: levels p, q and indices m, n of the printed identities, and the
-# number of random closure probes
 _DESC_LEVELS = range(-2, 3)
 _DESC_INDICES = range(1, 7)
 _DESC_SAMPLES = 50
@@ -600,8 +599,8 @@ def audit_steps(s: SParameter) -> AuditReport:
 # the generation-replay audit
 
 
-# the grid: levels q and indices m derived; the row tower below covers the
-# levels next to them, -3..3
+# D(q) and U(q) are derived from the rows q - 1 and q + 1, and the row tower
+# below is written out for levels -3..3, so the levels stay within -2..2
 _BGEN_LEVELS = range(-2, 3)
 _BGEN_M_MAX = 8
 
@@ -725,8 +724,7 @@ def audit_top(s: SParameter, seed: int = DEFAULT_SEED) -> AuditReport:
 # the sentence audit
 
 
-# the grid: atoms A(p, m) and the tau_n for 3 <= n <= _SENT_N_MAX; the
-# witness search for tau_n looks at indices up to _SENT_M_MAX as well
+# the tau_n witness search runs to the same index bound as the atom grid
 _SENT_LEVELS = range(-1, 2)
 _SENT_M_MAX = 24
 _SENT_N_MAX = 12
@@ -810,6 +808,7 @@ def _cross_point(s: SParameter, b: sym.BasisSet) -> list[AuditEntry]:
     return entries
 
 
+# the basis grid is compared against the oracle, as in fg
 _CROSS_LEVELS = range(-3, 4)
 _CROSS_M_MAX = 12
 _CROSS_SAMPLES = 500
