@@ -50,6 +50,12 @@ GOLDEN = {
         "e13dccc3893915b3571c67c6723c49e8c37051081c3a6716d4ebadf10cf0696a",
     ("search", "structures", "--k", "4", "--emit", "structures"):
         "e093c54d981906f32b4513040d95b7f1863ee1a16755614f0816ce35fba8138e",
+    # non-symmetric converses under a filter
+    ("search", "structures", "--k", "4", "--constraints", "sa", "--emit", "structures"):
+        "0b81cc33eaf75f20b453af86bb00f001780b7b93255ad758f78a299c2436eca4",
+    ("search", "structures", "--k", "4", "--constraints", "refl,subadd",
+     "--emit", "structures"):
+        "06fe40871247666fd6f74b6549304f8d42aa265cfd339cae02b80d9a8f63616c",
 }
 
 
