@@ -60,13 +60,13 @@ class SearchReport:
 # total frames up to isomorphism
 
 
-def _sums(contribs: list[tuple[int, ...]]) -> array:
+def _sums(contribs: list[tuple[int, ...]]) -> list[int]:
     """The summed contribution of every digit string: entry
     sum(d_i * base**i) holds sum(contribs[i][d_i]), base = len(contribs[i])."""
     table = [0]
     for choices in contribs:
         table = [t + c for c in choices for t in table]
-    return array("I", table)
+    return table
 
 
 def _code_maps(k: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
@@ -123,8 +123,8 @@ def enumerate_total_frames(k: int) -> tuple[SearchReport, list[Frame]]:
     loops = sum(1 << (i * k + i) for i in range(k))
     code_tables, bit_tables = [], []
     for codes, bits in _code_maps(k):
-        code_tables.append((_sums(codes[:half]), _sums(codes[half:])))
-        bit_tables.append((_sums(bits[:half]), _sums(bits[half:])))
+        code_tables.append((array("I", _sums(codes[:half])), array("I", _sums(codes[half:]))))
+        bit_tables.append((array("I", _sums(bits[:half])), array("I", _sums(bits[half:]))))
     low = 3 ** half
     visited = bytearray(3 ** pair_count)
     found = set()
@@ -244,26 +244,6 @@ def _orbit(triple: tuple[int, int, int], conv: tuple[int, ...]) -> frozenset:
     )))
 
 
-def _canonical_structure(structure: AtomStructure) -> str:
-    """Least serialized form over all permutations of the non-identity atoms."""
-    k = structure.atom_count
-    best = None
-    for perm_rest in itertools.permutations(range(1, k)):
-        perm = (0,) + perm_rest
-        conv = [0] * k
-        for a in range(k):
-            conv[perm[a]] = perm[structure.converse[a]]
-        cycles = sorted(
-            (perm[a], perm[b], perm[c]) for (a, b, c) in structure.cycles
-        )
-        key = (tuple(conv), tuple(cycles))
-        if best is None or key < best:
-            best = key
-    conv_text = ",".join(str(c) for c in best[0])
-    cyc_text = ";".join(f"{a}.{b}.{c}" for a, b, c in best[1])
-    return f"conv={conv_text} cycles={cyc_text}"
-
-
 _CONSTRAINT_NAMES = {
     "sym": "symmetric",
     "refl": "reflexive",
@@ -330,7 +310,7 @@ def _representatives(orbits: list[frozenset], maps: list[tuple[int, ...]]) -> li
     tables = []
     for bit_map in maps:
         contribs = [(0, 1 << bit) for bit in bit_map]
-        tables.append((_sums(contribs[:half]), _sums(contribs[half:])))
+        tables.append((array("I", _sums(contribs[:half])), array("I", _sums(contribs[half:]))))
     low = (1 << half) - 1
     visited = bytearray(1 << len(orbits))
     reps = []
@@ -344,21 +324,77 @@ def _representatives(orbits: list[frozenset], maps: list[tuple[int, ...]]) -> li
     return reps
 
 
+def _canonical_keys(k: int, conv: tuple[int, ...], orbits: list[frozenset]):
+    """The canonical key of each orbit mask of ``conv``, read from tables.
+
+    A structure's key is its least (converse, sorted cycle list) over every
+    relabeling of the diversity atoms, printed as ``conv=... cycles=...``.
+    Only the relabelings whose converse image is least reach it, so only
+    those are kept, each as an image table over triple codes
+    (a*k + b)*k + c.  Triple t is bit k^3 - 1 - t of a cycle mask, and all
+    images of one cycle set have the same size, so the image with the
+    greatest mask has the least sorted cycle list.  A structure is the
+    forced cycles and the orbits of its mask, so a relabeling's image of it
+    is the image of the forced cycles plus one table entry for the low half
+    of the orbit bits and one for the high half.  Only the greatest image
+    is decoded.
+    """
+    top = k ** 3 - 1
+    triples = list(itertools.product(range(k), repeat=3))
+    least, images = None, []
+    for rest in itertools.permutations(range(1, k)):
+        perm = (0,) + rest
+        image_conv = [0] * k
+        for a in range(k):
+            image_conv[perm[a]] = perm[conv[a]]
+        image_conv = tuple(image_conv)
+        if least is None or image_conv < least:
+            least, images = image_conv, []
+        if image_conv == least:
+            images.append(tuple((perm[a] * k + perm[b]) * k + perm[c] for a, b, c in triples))
+
+    def bits(cycles, image) -> int:
+        return sum(1 << (top - image[(a * k + b) * k + c]) for a, b, c in cycles)
+
+    forced = _forced_cycles(k, conv)
+    half = len(orbits) // 2
+    tables = []
+    for image in images:
+        contribs = [(0, bits(orbit, image)) for orbit in orbits]
+        tables.append((bits(forced, image), _sums(contribs[:half]), _sums(contribs[half:])))
+    low = (1 << half) - 1
+    conv_text = "conv=" + ",".join(map(str, least))
+
+    def key(mask: int) -> str:
+        lo, hi = mask & low, mask >> half
+        best = max(fixed + lo_images[lo] + hi_images[hi] for fixed, lo_images, hi_images in tables)
+        codes = [top - bit for bit in iter_bits(best)]
+        cycles = ";".join(f"{t // (k * k)}.{t // k % k}.{t % k}" for t in reversed(codes))
+        return f"{conv_text} cycles={cycles}"
+
+    return key
+
+
 def _structure_chunk(args) -> dict[str, AtomStructure]:
     """Check the structures of one converse with the given orbit masks;
-    returns, in mask order, the first passing structure of each canonical key."""
+    returns, in mask order, the first passing structure of each canonical key.
+
+    Only the laws of the filter are decided.  The triangle laws are not: a
+    structure here is the forced cycles and whole Peirce orbits, so its
+    cycle set is closed under the Peirce transforms by construction."""
     k, conv, orbits, masks, fields = args
     forced = _forced_cycles(k, conv)
+    key_of = _canonical_keys(k, conv, orbits)
     found: dict[str, AtomStructure] = {}
     for mask in masks:
         cycles = set(forced)
         for i in iter_bits(mask):
             cycles |= orbits[i]
         structure = AtomStructure(k, conv, frozenset({0}), frozenset(cycles))
-        report = relalg.check_axioms(relalg.expand(structure), structure)
+        report = relalg.check_axioms(relalg.expand(structure), structure, fields)
         if not all(getattr(report, name) for name in fields):
             continue
-        found.setdefault(_canonical_structure(structure), structure)
+        found.setdefault(key_of(mask), structure)
     return found
 
 

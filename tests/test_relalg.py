@@ -5,6 +5,7 @@ import pytest
 from conftest import seeded_structure
 from test_search import search_raw_structures
 from tensebench import relalg as ra
+from tensebench import search as se
 from tensebench.frames import CapacityError
 
 
@@ -146,6 +147,49 @@ class TestTriangleDualPath:
                 break
         assert failing is not None
         assert any(law == "semiassociative" for law, _ in failing.witnesses)
+
+
+CONSTRAINT_LAWS = tuple(se._CONSTRAINT_NAMES.values())
+
+
+def assert_law_subsets_match(alg, structure):
+    """Each subset of the constraint laws is decided as in the full report,
+    witnesses included, and every other law is left undecided."""
+    full = ra.check_axioms(alg, structure)
+    for size in range(len(CONSTRAINT_LAWS) + 1):
+        for laws in itertools.combinations(CONSTRAINT_LAWS, size):
+            expected = ra.AxiomReport(
+                **{law: getattr(full, law) for law in laws},
+                witnesses=tuple(w for w in full.witnesses if w[0] in laws),
+            )
+            assert ra.check_axioms(alg, structure, laws) == expected, (structure, laws)
+
+
+class TestLawSubsets:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_raw_structure(self, k):
+        every_law = tuple(ra.LAWS)
+        for structure in all_raw_structures(k):
+            alg = ra.expand(structure)
+            assert_law_subsets_match(alg, structure)
+            # witnesses keep the table's order whatever the order asked for
+            assert (ra.check_axioms(alg, structure, every_law[::-1])
+                    == ra.check_axioms(alg, structure))
+
+    def test_every_four_atom_representative(self):
+        reps = {}
+        for conv, mask, structure in search_raw_structures(4):
+            if conv not in reps:
+                orbits = se._triple_orbits(4, conv)
+                reps[conv] = set(se._representatives(orbits, se._bit_maps(4, conv, orbits)))
+            if mask in reps[conv]:
+                assert_law_subsets_match(ra.expand(structure), structure)
+        assert sum(map(len, reps.values())) == 496
+
+    @pytest.mark.parametrize("laws", [("sa",), ("triangle",), ("symmetric", "Boolean")])
+    def test_unknown_law_rejected(self, laws):
+        with pytest.raises(ValueError, match="unknown law"):
+            ra.check_axioms(ra.minimal_point_algebra(2), laws=laws)
 
 
 class TestWitnessOrder:

@@ -9,7 +9,7 @@ import pytest
 from tensebench import relalg as ra
 from tensebench import search as se
 from tensebench.frames import (
-    CapacityError, Frame, VertexId, as_finite_algebra, closure, is_total,
+    CapacityError, Frame, VertexId, as_finite_algebra, closure, is_total, iter_bits,
 )
 
 # (raw, iso) of the total-frame search for k = 1..5
@@ -187,13 +187,34 @@ def search_raw_structures(k):
             yield conv, mask, ra.AtomStructure(k, conv, frozenset({0}), frozenset(cycles))
 
 
+def reference_canonical_structure(structure):
+    """Reference canonical key: the least (converse, sorted cycle list) over
+    all permutations of the non-identity atoms, serialized."""
+    k = structure.atom_count
+    best = None
+    for perm_rest in itertools.permutations(range(1, k)):
+        perm = (0,) + perm_rest
+        conv = [0] * k
+        for a in range(k):
+            conv[perm[a]] = perm[structure.converse[a]]
+        cycles = sorted(
+            (perm[a], perm[b], perm[c]) for (a, b, c) in structure.cycles
+        )
+        key = (tuple(conv), tuple(cycles))
+        if best is None or key < best:
+            best = key
+    conv_text = ",".join(str(c) for c in best[0])
+    cyc_text = ";".join(f"{a}.{b}.{c}" for a, b, c in best[1])
+    return f"conv={conv_text} cycles={cyc_text}"
+
+
 @functools.lru_cache(maxsize=None)
 def checked_masks(k):
     """Reference: every orbit mask of every converse, in enumeration order,
     with its structure, axiom report and canonical key."""
     return tuple(
         (conv, mask, structure, ra.check_axioms(ra.expand(structure), structure),
-         se._canonical_structure(structure))
+         reference_canonical_structure(structure))
         for conv, mask, structure in search_raw_structures(k)
     )
 
@@ -444,15 +465,38 @@ class TestOrbitOnceStructures:
     def test_axioms_checked_once_per_orbit(self, monkeypatch, constraints, calls):
         count = 0
         check_axioms = ra.check_axioms
+        requested = set()
 
-        def counting(alg, structure):
+        def counting(alg, structure, laws):
             nonlocal count
             count += 1
-            return check_axioms(alg, structure)
+            requested.add(tuple(laws))
+            return check_axioms(alg, structure, laws)
 
         monkeypatch.setattr(ra, "check_axioms", counting)
         se.enumerate_atom_structures(4, constraints)
         assert count == calls
+        # only the laws of the filter are decided
+        assert requested == {se._constraint_fields(constraints)}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_table_key_matches_reference_key(self, k):
+        key_of = {}
+        for conv, mask, _, _, key in checked_masks(k):
+            if conv not in key_of:
+                key_of[conv] = se._canonical_keys(k, conv, se._triple_orbits(k, conv))
+            assert key_of[conv](mask) == key, (conv, mask)
+
+    def test_table_key_on_five_atom_representatives(self):
+        conv = tuple(range(5))
+        orbits = se._triple_orbits(5, conv)
+        forced = se._forced_cycles(5, conv)
+        key_of = se._canonical_keys(5, conv, orbits)
+        reps = se._representatives(orbits, se._bit_maps(5, conv, orbits))
+        for mask in reps[::92]:
+            cycles = forced.union(*(orbits[i] for i in iter_bits(mask)))
+            structure = ra.AtomStructure(5, conv, frozenset({0}), cycles)
+            assert key_of(mask) == reference_canonical_structure(structure), mask
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_representatives_match_reference_walk(self, k):
