@@ -2,7 +2,8 @@
 search and finite relation-type algebras as subcommands with stable text
 output.
 
-Every run echoes its effective configuration first.  Output for identical
+Every run echoes its effective configuration first, once its input is
+validated, so a run refused for its input leaves stdout empty.  Output for identical
 invocations is byte-identical; timing goes to stderr.  Only ``audit`` and
 ``distinguish`` print differently under ``--format records``; ``search``
 accepts the option and prints records either way, and ``search frames``
@@ -106,20 +107,20 @@ def _cmd_frame(args) -> int:
 def _cmd_eval(args) -> int:
     s = parse_sparam(args.s)
     term = _resolve_term(args.term)
-    _echo(args, term=repr(args.term), at=repr(args.at))
     env = {"x": sym.parse_set(s, args.at)}
     for binding in args.env or ():
         name, _, value = binding.partition("=")
         env[name.strip()] = sym.parse_set(s, value)
     result = tm.eval_term(term, tm.SymbolicHandle(s), env)
+    _echo(args, term=repr(args.term), at=repr(args.at))
     print(sym.display(result))
     return 0
 
 
 def _cmd_audit(args) -> int:
-    _echo(args, lemma=args.lemma, params=args.s or "default-family")
     lemmas = tuple(au.AUDITS) if args.lemma == "all" else (args.lemma,)
     items = [(s, lemmas, args.seed) for _, s in _family(args)]
+    _echo(args, lemma=args.lemma, params=args.s or "default-family")
     ok = True
     for reports in parallel_map(au.audit_parameter, items, args.jobs):
         for report in reports:
@@ -142,20 +143,17 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    _echo(args, constraints=getattr(args, "constraints", None) or "none", emit=args.emit)
     if args.sub == "frames":
         report, frames = se.enumerate_total_frames(args.k)
-        print(report.to_records(), end="")
-        if args.emit == "frames":
-            for frame in frames:
-                print(frame_to_text(frame), end="")
+        texts = map(frame_to_text, frames) if args.emit == "frames" else ()
     else:
         constraints = tuple(c for c in (args.constraints or "").split(",") if c)
         report, structures = se.enumerate_atom_structures(args.k, constraints, jobs=args.jobs)
-        print(report.to_records(), end="")
-        if args.emit == "structures":
-            for structure in structures:
-                print(structure.to_text(), end="")
+        texts = (s.to_text() for s in structures) if args.emit == "structures" else ()
+    _echo(args, constraints=getattr(args, "constraints", None) or "none", emit=args.emit)
+    print(report.to_records(), end="")
+    for text in texts:
+        print(text, end="")
     print(f"elapsed_ms={report.elapsed_ms:.1f}", file=sys.stderr)
     return 0
 

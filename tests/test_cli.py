@@ -293,6 +293,19 @@ class TestUsageErrors:
         assert "error: argument --jobs" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("search", "structures", "--k", "3", "--constraints", "foo"),
+        ("search", "structures", "--k", "5"),
+        ("search", "frames", "--k", "6"),
+        ("audit", "fg", "--s", "{4}"),
+        ("eval", "--s", "{3}", "--term", "x", "--at", "A(0,0)"),
+    ], ids=" ".join)
+    def test_rejected_input_prints_nothing(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_bad_sparam(self, capsys):
         code, _, err = run(capsys, "eval", "--s", "{4}", "--term", "sigma",
                            "--at", "A(0,1)")
