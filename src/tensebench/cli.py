@@ -3,11 +3,11 @@ search and finite relation-type algebras as subcommands with stable text
 output.
 
 Every run echoes its effective configuration first, once its input is
-validated, so a run refused for its input leaves stdout empty.  Output for identical
-invocations is byte-identical; timing goes to stderr.  Only ``audit`` and
-``distinguish`` print differently under ``--format records``; ``search``
-accepts the option and prints records either way, and ``search frames``
-accepts ``--jobs`` and runs in one process.  Exit codes: 0 on
+validated, so a run refused for its input leaves stdout empty.  Output for
+identical invocations is byte-identical; timing goes to stderr.  Only
+``audit`` and ``distinguish`` print differently under ``--format records``;
+``search`` accepts the option and prints records either way, and ``search
+frames`` accepts ``--jobs`` and runs in one process.  Exit codes: 0 on
 success or all-confirmed, 1 on a counterexample outside the allowlist or a
 non-separated outcome, 2 on usage errors, malformed input, exhausted
 capacity or a term too deep to parse or evaluate.
@@ -74,10 +74,11 @@ def _resolve_term(text: str) -> tm.Term:
 
 def _cmd_frame(args) -> int:
     if args.sub == "check":
+        with open(args.infile, encoding="utf-8") as handle:
+            text = handle.read()
         _echo(args, infile=args.infile)
         try:
-            with open(args.infile, encoding="utf-8") as handle:
-                frame = parse_frame(handle.read())
+            frame = parse_frame(text)
         except ValueError as exc:
             print(f"invalid: {exc}")
             return 1

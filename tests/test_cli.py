@@ -299,8 +299,10 @@ class TestUsageErrors:
         ("search", "frames", "--k", "6"),
         ("audit", "fg", "--s", "{4}"),
         ("eval", "--s", "{3}", "--term", "x", "--at", "A(0,0)"),
+        ("frame", "check", "--in", "missing.txt"),
     ], ids=" ".join)
-    def test_rejected_input_prints_nothing(self, capsys, argv):
+    def test_rejected_input_prints_nothing(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
