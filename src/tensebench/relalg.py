@@ -326,9 +326,9 @@ class AxiomReport:
         return line + extra + "\n"
 
 
-# Each law's failing cases in an algebra, as witness texts, in the order the
-# witness reports the first.  ``structure`` is the algebra's atom structure
-# when the caller has it.  A law that cannot be decided returns None.
+# Each law's failing cases in an algebra, as witness texts; the first one is
+# the law's witness.  ``structure`` is the algebra's atom structure when the
+# caller has it.  A law that cannot be decided returns None.
 
 
 def _boolean_failures(alg: FiniteRelAlgebra, structure):

@@ -12,9 +12,12 @@ tables built per call, one for the low half of a code's digits (or a mask's
 bits) and one for the high half, so an image is the sum of two entries, and
 the walk finds the next unvisited code or mask with ``bytearray.find``.
 The structure search runs the axiom suite only on the least mask of each
-orbit; its representatives are found once and then split across workers,
-whose results are merged by canonical key in enumeration order, so reports
-are identical across worker counts.  The frame search is one work item.
+orbit, and decides there only the laws its filter reads.  A structure's
+canonical key is its greatest image cycle mask, read from tables built once
+per work item, and only that mask is decoded into the printed key.  The
+representatives are found once and then split across workers, whose
+results are merged by canonical key in enumeration order, so reports are
+identical across worker counts.  The frame search is one work item.
 """
 
 from __future__ import annotations
@@ -404,10 +407,13 @@ def enumerate_atom_structures(
     """All triangle-closed atom structures with one identity atom, filtered by
     the requested axiom subset, up to isomorphism.
 
-    Every axiom the filter reads is invariant under relabeling the atoms, so
-    only the least mask of each orbit is checked.  Within one converse, the
-    structures with one canonical key form one such orbit, so its least mask
-    is the structure that checking every mask in order would keep first.
+    Every structure is the forced cycles and a union of Peirce orbits, so it
+    is triangle-closed by construction, and only the laws of the filter are
+    decided.  Every axiom the filter reads is invariant under relabeling the
+    atoms, so only the least mask of each orbit is checked.  Within one
+    converse, the structures with one canonical key form one such orbit, so
+    its least mask is the structure that checking every mask in order would
+    keep first.  The key is read from `_canonical_keys`' tables.
     """
     if k < 1 or k > MAX_STRUCTURE_ATOMS:
         raise CapacityError(
