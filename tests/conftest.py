@@ -85,3 +85,27 @@ def seeded_structure(k: int, seed: int, mode: str, p: float):
         if diversity:
             cycles.remove(diversity[rng.randrange(len(diversity))])
     return AtomStructure(k, tuple(converse), frozenset({0}), frozenset(cycles))
+
+
+def twelve_atom_structure(name: str):
+    """A structure at the 12-atom cap, with identity atom 0 and every atom its
+    own converse.  ``dense``: all 1728 triples are cycles.  ``sparse``: the
+    forced identity cycles and (1, 2, 3).  ``subadditive``: the triples
+    (a, b, c) with c in {a, b}, so every a;b lies below a | b and
+    subadditivity holds."""
+    from tensebench.relalg import AtomStructure
+
+    k = 12
+    triples = itertools.product(range(k), repeat=3)
+    if name == "dense":
+        cycles = set(triples)
+    elif name == "sparse":
+        cycles = {(1, 2, 3)}
+        for a in range(k):
+            cycles |= {(0, a, a), (a, 0, a), (a, a, 0)}
+    else:
+        cycles = {(a, b, c) for a, b, c in triples if c in (a, b)}
+    return AtomStructure(k, tuple(range(k)), frozenset({0}), frozenset(cycles))
+
+
+TWELVE_ATOM_NAMES = ("dense", "sparse", "subadditive")

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from conftest import seeded_structure
+from conftest import TWELVE_ATOM_NAMES, seeded_structure, twelve_atom_structure
 from tensebench import relalg as ra
 from tensebench.cli import main
 
@@ -117,6 +117,21 @@ def axioms_stdout(capsys, monkeypatch, tmp_path, case):
 def test_relalg_axioms_digest(capsys, monkeypatch, tmp_path, case):
     out = axioms_stdout(capsys, monkeypatch, tmp_path, case)
     assert hashlib.sha256(out.encode()).hexdigest() == AXIOMS_GOLDEN[case]
+
+
+# `tw relalg axioms` at the 12-atom cap (see `conftest.twelve_atom_structure`),
+# where the element-level triangle check is skipped
+TWELVE_ATOM_GOLDEN = {
+    "dense": "e8ee7f9dec64ead303fdfd9c74cd8d7f45cc5c383a26c8f826f793bebcb18e5d",
+    "sparse": "479d21e101b0621307554dd2eeca53337e939168b878c11eb3fa6f3ff75af846",
+    "subadditive": "f6fde43ca033186cf3cfa31a51e69808f152512341cb2fa79e38563a84a7f56b",
+}
+
+
+@pytest.mark.parametrize("name", TWELVE_ATOM_NAMES)
+def test_relalg_axioms_twelve_atom_digest(capsys, monkeypatch, tmp_path, name):
+    out = relalg_stdout(capsys, monkeypatch, tmp_path, "axioms", twelve_atom_structure(name))
+    assert hashlib.sha256(out.encode()).hexdigest() == TWELVE_ATOM_GOLDEN[name]
 
 
 # `tw relalg expand --in structure.txt` on the same seeded structures
