@@ -134,8 +134,8 @@ def _cmd_audit(args) -> int:
 def _cmd_distinguish(args) -> int:
     s = parse_sparam(args.s)
     t = parse_sparam(args.t)
-    _echo(args, n_bound=args.n_bound, m_bound=args.m_bound)
     report = tm.distinguish(s, t, n_bound=args.n_bound, m_bound=args.m_bound)
+    _echo(args, n_bound=args.n_bound, m_bound=args.m_bound)
     if args.format == "records":
         print("\n".join(report.to_records()))
     else:

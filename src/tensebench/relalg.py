@@ -8,6 +8,12 @@ powerset.  The proper algebras over explicit 1/2/3-element base sets are
 built directly from binary relations, so the minimal algebras derive from
 first principles rather than transcription.
 
+Composition has one path, ``FiniteRelAlgebra.compose``, which joins the
+products of atoms.  The axiom suite decides each law on atoms, or on an
+element and an atom, so no law needs an element-by-element table; only
+``triangle_by_elements``, capped at ``ELEMENT_TRIANGLE_CAP`` elements,
+builds one for itself.
+
 Composition over the symbolic carrier of a tense algebra has no code here:
 a composition term in ``x`` and ``y`` is evaluated like any other term, by
 ``terms.eval_term`` (``tw eval --term ... --env y=...``).
@@ -15,10 +21,8 @@ a composition term in ``x`` and ``y`` is evaluated like any other term, by
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Collection
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from operator import and_, or_
 
@@ -118,36 +122,6 @@ class FiniteRelAlgebra:
             out |= _gather(self.comp_atom[a], y)
         return out
 
-    @cached_property
-    def table(self) -> tuple[array, ...]:
-        """The composition table: ``table[x][y] == compose(x, y)`` for every
-        pair of elements, built once per algebra.  Rows are ``array('H')``,
-        two bytes an entry (enough for 16 atoms): at the 12-atom cap the
-        table has 2^24 entries, which as int objects would take about 600 MB
-        and here take 32 MiB.
-
-        ``compose`` joins the products of every atom of x with every atom of
-        y, so it is additive in each argument: splitting off the lowest bit,
-        x;y = ((x ^ low);y) | (low;y), and likewise in y.  Row x is therefore
-        the entrywise OR of rows ``x ^ low`` and ``low``, and an atom's entry
-        at y is the OR of its entries at ``y ^ lo`` and ``lo``, read from
-        ``comp_atom``.  Row 0 and column 0 are the empty join 0.  That is
-        |E|^2 ORs and no call of ``compose``."""
-        n = self.one + 1
-        rows = [array('H', bytes(2 * n))]
-        for x in range(1, n):
-            low = x & -x
-            if x != low:
-                rows.append(array('H', map(or_, rows[x ^ low], rows[low])))
-                continue
-            products = self.comp_atom[x.bit_length() - 1]
-            row = [0] * n
-            for y in range(1, n):
-                lo = y & -y
-                row[y] = row[y ^ lo] | products[lo.bit_length() - 1]
-            rows.append(array('H', row))
-        return tuple(rows)
-
     def converse(self, x: int) -> int:
         return _gather(self.conv_atom, x)
 
@@ -239,18 +213,22 @@ def triangle_by_elements(alg: FiniteRelAlgebra) -> tuple[bool, str | None]:
     the spare bit holds the carry.  Masking with ``tops`` leaves one flag
     per z.  Where the three flag words differ, the scalar loop over z finds
     the first failing z, so the witness names the triple that a loop over
-    every triple in order would name first."""
+    every triple in order would name first.
+
+    The products come from ``table[x][y] == compose(x, y)``, built here: the
+    check runs only up to ``ELEMENT_TRIANGLE_CAP`` elements, so the table has
+    at most 1024 entries."""
     k = alg.atom_count
     width = k + 1
     elements = alg.elements()
-    table = alg.table
+    table = [[alg.compose(x, y) for y in elements] for x in elements]
     conv = [alg.converse(x) for x in elements]
     unit = sum(1 << (width * z) for z in elements)
     ones = unit * ((1 << k) - 1)
     tops = unit << k
     ids = sum(z << (width * z) for z in elements)
     spread = [v * unit for v in elements]
-    # packed rows and columns are additive like the table, so only the
+    # packed rows and columns are additive like composition, so only the
     # atoms' are packed from table entries
     rows = [0] * len(elements)
     cols = [0] * len(elements)
@@ -329,6 +307,15 @@ class AxiomReport:
 # Each law's failing cases in an algebra, as witness texts; the first one is
 # the law's witness.  ``structure`` is the algebra's atom structure when the
 # caller has it.  A law that cannot be decided returns None.
+#
+# Composition is additive in each argument, so identity, semiassociativity
+# and reflexivity hold at every element once they hold at its atoms (for
+# reflexivity: a <= a;a <= x;x for each atom a of x).  A failing element x
+# thus has a failing atom 1 << a <= x, and the first failing element in
+# increasing order is an atom: these laws scan the atoms only.  Likewise
+# x;(y & ~x) is the join of x;b over the atoms b of y outside x, so a pair
+# (x, y) fails subadditivity only if some such pair (x, 1 << b) fails, and
+# for each x its first failing y is an atom.
 
 
 def _boolean_failures(alg: FiniteRelAlgebra, structure):
@@ -337,8 +324,9 @@ def _boolean_failures(alg: FiniteRelAlgebra, structure):
 
 
 def _identity_failures(alg: FiniteRelAlgebra, structure):
-    table, e = alg.table, alg.identity
-    return (str(x) for x in alg.elements() if table[e][x] != x or table[x][e] != x)
+    e = alg.identity
+    return (str(a) for a in alg.atoms()
+            if alg.compose(e, a) != a or alg.compose(a, e) != a)
 
 
 def _triangle_atom_failures(alg: FiniteRelAlgebra, structure):
@@ -354,19 +342,18 @@ def _triangle_element_failures(alg: FiniteRelAlgebra, structure):
 
 
 def _semiassociative_failures(alg: FiniteRelAlgebra, structure):
-    table, one = alg.table, alg.one
-    return (str(x) for x in alg.elements() if table[(x1 := table[x][one])][one] != x1)
+    compose, one = alg.compose, alg.one
+    return (str(a) for a in alg.atoms() if compose(a1 := compose(a, one), one) != a1)
 
 
 def _associative_failures(alg: FiniteRelAlgebra, structure):
-    table = alg.table
+    compose = alg.compose
     return (f"{a},{b},{c}" for a, b, c in product(alg.atoms(), repeat=3)
-            if table[table[a][b]][c] != table[a][table[b][c]])
+            if compose(compose(a, b), c) != compose(a, compose(b, c)))
 
 
 def _reflexive_failures(alg: FiniteRelAlgebra, structure):
-    table = alg.table
-    return (str(x) for x in alg.elements() if x & table[x][x] != x)
+    return (str(a) for a in alg.atoms() if a & alg.compose(a, a) != a)
 
 
 def _symmetric_failures(alg: FiniteRelAlgebra, structure):
@@ -375,10 +362,10 @@ def _symmetric_failures(alg: FiniteRelAlgebra, structure):
 
 
 def _subadditive_failures(alg: FiniteRelAlgebra, structure):
-    table = alg.table
-    # y & ~x is the meet of y with the complement of x
-    return (f"{x},{y}" for x, y in product(alg.elements(), repeat=2)
-            if table[x][y & ~x] | x | y != x | y)
+    # x;b is the join of column b of the atom products over the atoms of x
+    columns = [tuple(row[b] for row in alg.comp_atom) for b in range(alg.atom_count)]
+    return (f"{x},{1 << b}" for x in alg.elements() for b, column in enumerate(columns)
+            if not x >> b & 1 and _gather(column, x) & ~(x | 1 << b))
 
 
 # law -> (its `AxiomReport` field, its failing cases), in witness order

@@ -182,27 +182,20 @@ def classify_minimal(alg: FiniteTenseAlgebra) -> Classification:
 
 
 def check_discriminator(alg: FiniteTenseAlgebra) -> bool:
-    """Verify the unary unit u(x) = f(x) | g(x) | x and then the induced
-    ternary discriminator by full enumeration.  Requires a total algebra."""
+    """Verify the unary unit u(x) = f(x) | g(x) | x by full enumeration:
+    u(0) = 0 and u(x) = 1 for every x != 0.  Requires a total algebra.
+
+    That is all the ternary discriminator t(x, y, z) =
+    (x & u(x ^ y)) | (z & ~u(x ^ y)) needs: x ^ y is 0 exactly when x = y,
+    so the gate u(x ^ y) is 0 when x = y, giving z, and 1 otherwise, giving
+    x.  No triple (x, y, z) can fail once the unit passes."""
     if not alg.is_total_algebra():
         raise ValueError("discriminator check requires a total algebra")
 
     def u(x: int) -> int:
         return alg.f(x) | alg.g(x) | x
 
-    if u(0) != 0:
-        return False
-    if any(u(x) != alg.one for x in range(1, alg.one + 1)):
-        return False
-    for x in alg.elements():
-        for y in alg.elements():
-            gate = u(x ^ y)
-            for z in alg.elements():
-                value = (x & gate) | (z & alg.neg(gate))
-                want = z if x == y else x
-                if value != want:
-                    return False
-    return True
+    return u(0) == 0 and all(u(x) == alg.one for x in range(1, alg.one + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -603,7 +603,11 @@ def distinguish(
     max(s.bound, t.bound) + 2, where both tails have taken over, so the
     first disagreement is found exactly; ``n_bound`` only caps the n whose
     sentence gets evaluated, and above it the verdict is "Inconclusive".
+    A negative bound is refused with ValueError.
     """
+    for name, bound in (("n_bound", n_bound), ("m_bound", m_bound)):
+        if bound < 0:
+            raise ValueError(f"{name} must not be negative, got {bound}")
     if s == t:
         return SeparationReport(s, t, n_bound, m_bound, None, None, None, "Identical")
     witness_n = next(

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from conftest import TWELVE_ATOM_NAMES, twelve_atom_structure
 from tensebench import terms as tm
 from tensebench.cli import build_parser, main
 
@@ -264,6 +265,19 @@ def test_atom_count_over_the_cap_rejected_while_parsing(capsys, tmp_path, sub, c
     assert err == f"error: {count} atoms exceeds the 12-atom cap\n"
 
 
+@pytest.mark.parametrize("name", TWELVE_ATOM_NAMES)
+def test_twelve_atom_axioms_within_a_second(capsys, tmp_path, name):
+    # the laws are decided on atoms: no law builds a table over the 2^12
+    # elements, even when it holds and every case is scanned
+    path = tmp_path / "structure.txt"
+    path.write_text(twelve_atom_structure(name).to_text())
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "relalg", "axioms", "--in", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert "boolean=pass" in out
+
+
 class TestUsageErrors:
     def test_subcommand_help(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -300,6 +314,8 @@ class TestUsageErrors:
         ("audit", "fg", "--s", "{4}"),
         ("eval", "--s", "{3}", "--term", "x", "--at", "A(0,0)"),
         ("frame", "check", "--in", "missing.txt"),
+        ("distinguish", "--s", "{3}", "--t", "{5}", "--n-bound", "-1"),
+        ("distinguish", "--s", "{3}", "--t", "{5}", "--m-bound", "-5"),
     ], ids=" ".join)
     def test_rejected_input_prints_nothing(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)

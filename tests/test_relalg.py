@@ -149,6 +149,19 @@ class TestTriangleDualPath:
         assert any(law == "semiassociative" for law, _ in failing.witnesses)
 
 
+def four_atom_representatives():
+    """The structure of each of the 496 orbit representatives that the
+    4-atom search checks, over every converse."""
+    reps = {}
+    for conv, mask, structure in search_raw_structures(4):
+        if conv not in reps:
+            orbits = se._triple_orbits(4, conv)
+            reps[conv] = set(se._representatives(orbits, se._bit_maps(4, conv, orbits)))
+        if mask in reps[conv]:
+            yield structure
+    assert sum(map(len, reps.values())) == 496
+
+
 CONSTRAINT_LAWS = tuple(se._CONSTRAINT_NAMES.values())
 
 
@@ -177,14 +190,8 @@ class TestLawSubsets:
                     == ra.check_axioms(alg, structure))
 
     def test_every_four_atom_representative(self):
-        reps = {}
-        for conv, mask, structure in search_raw_structures(4):
-            if conv not in reps:
-                orbits = se._triple_orbits(4, conv)
-                reps[conv] = set(se._representatives(orbits, se._bit_maps(4, conv, orbits)))
-            if mask in reps[conv]:
-                assert_law_subsets_match(ra.expand(structure), structure)
-        assert sum(map(len, reps.values())) == 496
+        for structure in four_atom_representatives():
+            assert_law_subsets_match(ra.expand(structure), structure)
 
     @pytest.mark.parametrize("laws", [("sa",), ("triangle",), ("symmetric", "Boolean")])
     def test_unknown_law_rejected(self, laws):
@@ -276,36 +283,63 @@ RANDOM_CASES = [
 ]
 
 
-class TestCompositionTable:
-    def test_table_is_compose(self):
-        count = 0
-        for alg in table_inputs():
-            elements = alg.elements()
-            assert [list(row) for row in alg.table] == [
-                [alg.compose(x, y) for y in elements] for x in elements
-            ]
-            count += 1
-        assert count == 1 + 2 + 512 + 1408 + 40 + 5
+# the laws that compose, in witness order
+COMPOSING_LAWS = ("identity", "semiassociative", "associative", "reflexive", "subadditive")
 
-    def test_check_axioms_never_calls_compose(self, monkeypatch):
-        calls = 0
-        compose = ra.FiniteRelAlgebra.compose
 
-        def counting(self, x, y):
-            nonlocal calls
-            calls += 1
-            return compose(self, x, y)
+def reference_laws(alg):
+    """Each law of ``COMPOSING_LAWS`` as its failing cases over every
+    element, every pair of elements or every triple of atoms, in order, on a
+    table built from ``compose``: the definitions that the atom-level scans
+    of ``check_axioms`` must reproduce, witnesses included."""
+    elements = alg.elements()
+    table = [[alg.compose(x, y) for y in elements] for x in elements]
+    e, one = alg.identity, alg.one
+    return {
+        "identity": (str(x) for x in elements if table[e][x] != x or table[x][e] != x),
+        "semiassociative": (str(x) for x in elements
+                            if table[(x1 := table[x][one])][one] != x1),
+        "associative": (f"{a},{b},{c}" for a, b, c in itertools.product(alg.atoms(), repeat=3)
+                        if table[table[a][b]][c] != table[a][table[b][c]]),
+        "reflexive": (str(x) for x in elements if x & table[x][x] != x),
+        # y & ~x is the meet of y with the complement of x
+        "subadditive": (f"{x},{y}" for x, y in itertools.product(elements, repeat=2)
+                        if table[x][y & ~x] | x | y != x | y),
+    }
 
-        algebras = [ra.proper_algebra(2)] + [ra.minimal_point_algebra(b) for b in (1, 2, 3)]
-        algebras += [ra.expand(seeded_structure(*case)) for case in RANDOM_CASES[:20]]
-        monkeypatch.setattr(ra.FiniteRelAlgebra, "compose", counting)
-        for alg in algebras:
-            ra.check_axioms(alg)
-        assert calls == 0
-        # the counter does count: the table matches compose
-        alg = algebras[0]
-        assert alg.table[3][5] == alg.compose(3, 5)
-        assert calls == 1
+
+def assert_laws_match_reference(alg, structure=None):
+    verdicts, witnesses = {}, []
+    for law, cases in reference_laws(alg).items():
+        witness = next(cases, None)
+        if witness is not None:
+            witnesses.append((law, witness))
+        verdicts[ra.LAWS[law][0]] = witness is None
+    expected = ra.AxiomReport(**verdicts, witnesses=tuple(witnesses))
+    assert ra.check_axioms(alg, structure, COMPOSING_LAWS) == expected, structure
+
+
+class TestAtomLevelLaws:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_raw_structure(self, k):
+        for structure in all_raw_structures(k):
+            assert_laws_match_reference(ra.expand(structure), structure)
+
+    def test_every_four_atom_representative(self):
+        for structure in four_atom_representatives():
+            assert_laws_match_reference(ra.expand(structure), structure)
+
+    @pytest.mark.parametrize("case", RANDOM_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_seeded_structures(self, case):
+        structure = seeded_structure(*case)
+        assert_laws_match_reference(ra.expand(structure), structure)
+
+    def test_algebras_built_directly(self):
+        # identities of more than one atom
+        for alg in [ra.proper_algebra(1), ra.proper_algebra(2)] + [
+            ra.minimal_point_algebra(base) for base in (1, 2, 3)
+        ]:
+            assert_laws_match_reference(alg)
 
 
 class TestPackedTriangle:

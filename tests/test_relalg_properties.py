@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_relalg import assert_laws_match_reference
 from tensebench import relalg as ra
 from tensebench.frames import CapacityError
 
@@ -64,3 +65,10 @@ def test_line_soup_parses_or_is_refused(header, lines):
         ra.parse_atom_structure("\n".join(header + lines))
     except (ValueError, CapacityError):
         pass
+
+
+@settings(derandomize=True, max_examples=300)
+@given(atom_structures())
+def test_laws_decided_on_atoms_match_the_reference(structure):
+    # any identity atoms and any converse, up to 64 elements
+    assert_laws_match_reference(ra.expand(structure), structure)
