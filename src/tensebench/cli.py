@@ -91,7 +91,6 @@ def _cmd_frame(args) -> int:
     s = parse_sparam(args.s)
     spec = TruncationSpec(args.lo, args.hi, args.imax)
     frame = build_truncation(spec, s, budget=args.budget)
-    _echo(args, lo=args.lo, hi=args.hi, imax=args.imax)
     if args.sub == "build":
         text = frame_to_text(frame)
     else:
@@ -99,9 +98,9 @@ def _cmd_frame(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+        text = f"wrote {args.out}\n"
+    _echo(args, lo=args.lo, hi=args.hi, imax=args.imax)
+    print(text, end="")
     return 0
 
 
@@ -180,7 +179,7 @@ def _cmd_relalg(args) -> int:
         print(f"id = {{{identity}}}")
         return 0
     if args.sub == "axioms":
-        print(ra.check_axioms(alg, structure).to_records(), end="")
+        print(ra.check_axioms(alg).to_records(), end="")
         return 0
     # minsub
     mini = ra.minimal_subalgebra(alg)

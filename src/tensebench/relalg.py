@@ -9,10 +9,10 @@ built directly from binary relations, so the minimal algebras derive from
 first principles rather than transcription.
 
 Composition has one path, ``FiniteRelAlgebra.compose``, which joins the
-products of atoms.  The axiom suite decides each law on atoms, or on an
-element and an atom, so no law needs an element-by-element table; only
-``triangle_by_elements``, capped at ``ELEMENT_TRIANGLE_CAP`` elements,
-builds one for itself.
+products of atoms.  Every law of the axiom suite reads the algebra alone
+and is decided on atoms, or on an element and an atom; only
+``triangle_by_elements``, the plain loop over every triple of elements,
+capped at ``ELEMENT_TRIANGLE_CAP`` elements, builds a table for itself.
 
 Composition over the symbolic carrier of a tense algebra has no code here:
 a composition term in ``x`` and ``y`` is evaluated like any other term, by
@@ -198,64 +198,19 @@ def triangle_by_atoms(structure: AtomStructure) -> tuple[bool, str | None]:
 def triangle_by_elements(alg: FiniteRelAlgebra) -> tuple[bool, str | None]:
     """Ground-truth check: the three zero-conditions over all element triples.
 
-    For every x, y, z the meets x;y & z, x˘;z & y and z;y˘ & x must be 0
-    together or nonzero together.  Each pair (x, y) decides every z at once
-    on ints that hold one slot of k+1 bits per element z, slot z starting at
-    bit z(k+1):
-    - ``ids`` holds z in slot z, and ``spread[v]`` holds v in every slot;
-    - ``rows[x]`` holds x;z in slot z, and ``cols[y]`` holds z;y.
-
-    So ``spread[x;y] & ids``, ``rows[x˘] & spread[y]`` and
-    ``cols[y˘] & spread[x]`` hold the three meets for every z.  A meet fits
-    in the low k bits of its slot.  Adding ``ones`` (2^k - 1 in every slot)
-    sets a slot's top bit exactly when its meet is nonzero, and never
-    carries into the next slot, because (2^k - 1) + (2^k - 1) < 2^(k+1):
-    the spare bit holds the carry.  Masking with ``tops`` leaves one flag
-    per z.  Where the three flag words differ, the scalar loop over z finds
-    the first failing z, so the witness names the triple that a loop over
-    every triple in order would name first.
-
-    The products come from ``table[x][y] == compose(x, y)``, built here: the
+    For every x, y, z in order, the meets x;y & z, x˘;z & y and z;y˘ & x must
+    be 0 together or nonzero together; the first triple where they are not
+    is the witness.  The products come from ``compose``, tabulated here: the
     check runs only up to ``ELEMENT_TRIANGLE_CAP`` elements, so the table has
     at most 1024 entries."""
-    k = alg.atom_count
-    width = k + 1
     elements = alg.elements()
     table = [[alg.compose(x, y) for y in elements] for x in elements]
     conv = [alg.converse(x) for x in elements]
-    unit = sum(1 << (width * z) for z in elements)
-    ones = unit * ((1 << k) - 1)
-    tops = unit << k
-    ids = sum(z << (width * z) for z in elements)
-    spread = [v * unit for v in elements]
-    # packed rows and columns are additive like composition, so only the
-    # atoms' are packed from table entries
-    rows = [0] * len(elements)
-    cols = [0] * len(elements)
-    for v in elements[1:]:
-        low = v & -v
-        if v != low:
-            rows[v] = rows[v ^ low] | rows[low]
-            cols[v] = cols[v ^ low] | cols[low]
-            continue
-        for z in elements:
-            rows[v] |= table[v][z] << (width * z)
-            cols[v] |= table[z][v] << (width * z)
-    left_flags = [((s & ids) + ones) & tops for s in spread]
-    right_cols = [cols[c] for c in conv]
     for x in elements:
         row = table[x]
-        mid_row = rows[conv[x]]
-        spread_x = spread[x]
+        conv_row = table[conv[x]]
         for y in elements:
-            left = left_flags[row[y]]
-            if (
-                left == ((mid_row & spread[y]) + ones) & tops
-                and left == ((right_cols[y] & spread_x) + ones) & tops
-            ):
-                continue
             xy = row[y]
-            conv_row = table[conv[x]]
             cy = conv[y]
             for z in elements:
                 left = xy & z == 0
@@ -305,8 +260,8 @@ class AxiomReport:
 
 
 # Each law's failing cases in an algebra, as witness texts; the first one is
-# the law's witness.  ``structure`` is the algebra's atom structure when the
-# caller has it.  A law that cannot be decided returns None.
+# the law's witness; a law that cannot be decided returns None.  Every law
+# reads the algebra alone.
 #
 # Composition is additive in each argument, so identity, semiassociativity
 # and reflexivity hold at every element once they hold at its atoms (for
@@ -318,50 +273,50 @@ class AxiomReport:
 # for each x its first failing y is an atom.
 
 
-def _boolean_failures(alg: FiniteRelAlgebra, structure):
+def _boolean_failures(alg: FiniteRelAlgebra):
     return (str(x) for x in alg.elements()
             if x & alg.neg(x) != 0 or x | alg.neg(x) != alg.one)
 
 
-def _identity_failures(alg: FiniteRelAlgebra, structure):
+def _identity_failures(alg: FiniteRelAlgebra):
     e = alg.identity
     return (str(a) for a in alg.atoms()
             if alg.compose(e, a) != a or alg.compose(a, e) != a)
 
 
-def _triangle_atom_failures(alg: FiniteRelAlgebra, structure):
-    ok, witness = triangle_by_atoms(structure if structure is not None else structure_of(alg))
+def _triangle_atom_failures(alg: FiniteRelAlgebra):
+    ok, witness = triangle_by_atoms(structure_of(alg))
     return iter(() if ok else (witness,))
 
 
-def _triangle_element_failures(alg: FiniteRelAlgebra, structure):
+def _triangle_element_failures(alg: FiniteRelAlgebra):
     if alg.one + 1 > ELEMENT_TRIANGLE_CAP:
         return None
     ok, witness = triangle_by_elements(alg)
     return iter(() if ok else (witness,))
 
 
-def _semiassociative_failures(alg: FiniteRelAlgebra, structure):
+def _semiassociative_failures(alg: FiniteRelAlgebra):
     compose, one = alg.compose, alg.one
     return (str(a) for a in alg.atoms() if compose(a1 := compose(a, one), one) != a1)
 
 
-def _associative_failures(alg: FiniteRelAlgebra, structure):
+def _associative_failures(alg: FiniteRelAlgebra):
     compose = alg.compose
     return (f"{a},{b},{c}" for a, b, c in product(alg.atoms(), repeat=3)
             if compose(compose(a, b), c) != compose(a, compose(b, c)))
 
 
-def _reflexive_failures(alg: FiniteRelAlgebra, structure):
+def _reflexive_failures(alg: FiniteRelAlgebra):
     return (str(a) for a in alg.atoms() if a & alg.compose(a, a) != a)
 
 
-def _symmetric_failures(alg: FiniteRelAlgebra, structure):
+def _symmetric_failures(alg: FiniteRelAlgebra):
     return ("converse moves an atom" for a in range(alg.atom_count)
             if alg.conv_atom[a] != 1 << a)
 
 
-def _subadditive_failures(alg: FiniteRelAlgebra, structure):
+def _subadditive_failures(alg: FiniteRelAlgebra):
     # x;b is the join of column b of the atom products over the atoms of x
     columns = [tuple(row[b] for row in alg.comp_atom) for b in range(alg.atom_count)]
     return (f"{x},{1 << b}" for x in alg.elements() for b, column in enumerate(columns)
@@ -382,11 +337,7 @@ LAWS = {
 }
 
 
-def check_axioms(
-    alg: FiniteRelAlgebra,
-    structure: AtomStructure | None = None,
-    laws: Collection[str] = tuple(LAWS),
-) -> AxiomReport:
+def check_axioms(alg: FiniteRelAlgebra, laws: Collection[str] = tuple(LAWS)) -> AxiomReport:
     """Decide the named laws, every law by default.  A law holds when it has
     no failing case; otherwise its first case is its witness.  Witnesses
     follow the order of ``LAWS`` whatever the order of ``laws``."""
@@ -398,7 +349,7 @@ def check_axioms(
     for law, (field, failures) in LAWS.items():
         if law not in laws:
             continue
-        cases = failures(alg, structure)
+        cases = failures(alg)
         if cases is None:
             continue
         witness = next(cases, None)

@@ -387,7 +387,7 @@ def _structure_chunk(args) -> dict[str, AtomStructure]:
         for i in iter_bits(mask):
             cycles |= orbits[i]
         structure = AtomStructure(k, conv, frozenset({0}), frozenset(cycles))
-        report = relalg.check_axioms(relalg.expand(structure), structure, fields)
+        report = relalg.check_axioms(relalg.expand(structure), fields)
         if not all(getattr(report, name) for name in fields):
             continue
         found.setdefault(key_of(mask), structure)

@@ -35,7 +35,11 @@ class SParameter:
                 raise ValueError(f"explicit member {n} must be odd, >= 3, <= bound")
         # canonicalize: shrink bound while the top odd slot matches the tail
         explicit = set(self.explicit)
-        bound = self.bound if self.bound % 2 == 1 else self.bound - 1
+        if self.tail_in:
+            bound = self.bound if self.bound % 2 == 1 else self.bound - 1
+        else:
+            # every slot above the largest member matches the absent tail
+            bound = max(explicit, default=3)
         while bound > 3 and (bound in explicit) == self.tail_in:
             explicit.discard(bound)
             bound -= 2

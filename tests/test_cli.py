@@ -314,6 +314,8 @@ class TestUsageErrors:
         ("audit", "fg", "--s", "{4}"),
         ("eval", "--s", "{3}", "--term", "x", "--at", "A(0,0)"),
         ("frame", "check", "--in", "missing.txt"),
+        ("frame", "build", "--s", "{3}", "--imax", "8", "--out", "missing/f.txt"),
+        ("frame", "dot", "--s", "{3}", "--imax", "8", "--out", "missing/f.txt"),
         ("distinguish", "--s", "{3}", "--t", "{5}", "--n-bound", "-1"),
         ("distinguish", "--s", "{3}", "--t", "{5}", "--m-bound", "-5"),
     ], ids=" ".join)

