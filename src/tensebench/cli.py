@@ -16,6 +16,9 @@ capacity or a term too deep to parse or evaluate.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
+import os
 import re
 import sys
 
@@ -72,6 +75,18 @@ def _resolve_term(text: str) -> tm.Term:
 # --- subcommand handlers ---
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise, without
+    creating or truncating anything."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _cmd_frame(args) -> int:
     if args.sub == "check":
         with open(args.infile, encoding="utf-8") as handle:
@@ -89,6 +104,8 @@ def _cmd_frame(args) -> int:
         )
         return 0
     s = parse_sparam(args.s)
+    if args.out:
+        _check_writable(args.out)
     spec = TruncationSpec(args.lo, args.hi, args.imax)
     frame = build_truncation(spec, s, budget=args.budget)
     if args.sub == "build":
@@ -197,7 +214,10 @@ def _jobs_count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; every parse fills a fresh
+    Namespace."""
     parser = argparse.ArgumentParser(
         prog="tw",
         description="workbench for layered frames, their symbolic algebras, audits and searches",

@@ -45,9 +45,15 @@ class SParameter:
             bound -= 2
         object.__setattr__(self, "explicit", frozenset(explicit))
         object.__setattr__(self, "bound", bound)
-        # the pattern below stable_from, kept out of the fields (==, hash, repr)
+        # kept off the fields, so == and repr ignore them: the pattern below
+        # stable_from, and the fields' hash, which every operator memo key
+        # takes in
         low = _every_other((bound - 1) // 2) << 2 | sum(1 << n for n in explicit)
         object.__setattr__(self, "_low_pattern", low)
+        object.__setattr__(self, "_hash", hash((self.explicit, bound, self.tail_in)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def contains(self, n: int) -> bool:
         """Membership of n in the odd set itself."""

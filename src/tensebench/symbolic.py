@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .frames import TruncationSpec, VertexId, iter_bits
@@ -52,6 +52,7 @@ class Row(NamedTuple):
 
 EMPTY_ROW = Row(0, 1, False, False)
 FULL_ROW = Row(0, 1, True, True)
+INDEX_ONE_ROW = Row(0b10, 2, False, False)  # just index 1, for any parameter
 
 
 def _tails(pat: int, pat_tail: bool, off_tail: bool) -> int:
@@ -76,14 +77,21 @@ def make_row(s: SParameter, members: int, base: int, pat_tail: bool, off_tail: b
     above the highest index where the explicit bits below the horizon
     differ from them.
     """
-    base = max(base, 1)
-    out_off = off_tail if s.off_pattern_infinite() else pat_tail
-    horizon = max(base, s.stable_from, members.bit_length())
+    if base < 1:
+        base = 1
+    horizon = s.stable_from
+    if base > horizon:
+        horizon = base
+    if members >> horizon:
+        horizon = members.bit_length()
     below = (1 << horizon) - 1
     pat = s.pattern_mask(horizon)
-    explicit = members | (_tails(pat, pat_tail, off_tail) & (below >> base << base))
-    canonical = _tails(pat, pat_tail, out_off) & (below ^ 1)
-    start = max((explicit ^ canonical).bit_length(), 1)
+    pat_bits = pat if pat_tail else 0
+    tails = pat_bits | ~pat if off_tail else pat_bits
+    out_off = pat_tail if s.tail_in else off_tail
+    canonical = pat_bits | ~pat if out_off else pat_bits
+    explicit = members | (tails & (below >> base << base))
+    start = (explicit ^ (canonical & (below ^ 1))).bit_length() or 1
     return Row(explicit & ((1 << start) - 1), start, pat_tail, out_off)
 
 
@@ -130,8 +138,9 @@ def row_intersect(s, a, b):
 
 
 def row_complement(s: SParameter, r: Row) -> Row:
-    members = r.prefix ^ ((1 << r.start) - 2)
-    return make_row(s, members, r.start, not r.pat_tail, not r.off_tail)
+    # flipping the prefix and both tails keeps every index where they differ,
+    # so start stays minimal and the row stays canonical
+    return Row(r.prefix ^ ((1 << r.start) - 2), r.start, not r.pat_tail, not r.off_tail)
 
 
 def row_is_infinite(r: Row) -> bool:
@@ -171,27 +180,27 @@ def off_pattern_row(s: SParameter, start: int) -> Row:
 
 
 def tail_row(s: SParameter, start: int) -> Row:
-    """All indices >= start."""
-    return make_row(s, 0, max(start, 1), True, True)
+    """All indices >= start; canonical as built, as index start - 1 is out."""
+    return Row(0, max(start, 1), True, True)
 
 
 # ---------------------------------------------------------------------------
 # symbolic sets
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolicSet:
+class SymbolicSet(NamedTuple):
     """Canonical element of the generated subalgebra for one parameter.
 
     Levels below ``anchor`` behave as ``below_full``; levels from
     ``anchor + len(rows)`` on behave as ``above_full``; ``rows`` give the
     levels in between.  Canonical form: boundary rows differ from the
     adjacent constant row, and a fully constant set has anchor 0.
+
+    A NamedTuple, like ``Row``, so that comparing a set and hashing its
+    rows run in C; the parameter returns a hash it computed once.
     """
 
-    # left out of the hash, which the operator memo computes on every
-    # lookup; equality still compares it, so a memo hit is exact
-    sparam: SParameter = field(hash=False)
+    sparam: SParameter
     below_full: bool
     above_full: bool
     anchor: int
@@ -250,19 +259,12 @@ def _check_same_param(x: SymbolicSet, y: SymbolicSet):
         raise ValueError("operands built over different S-parameters")
 
 
-def _span(x: SymbolicSet) -> tuple[int, int] | None:
-    if x.rows:
-        return (x.anchor, x.anchor + len(x.rows) - 1)
-    if x.below_full != x.above_full:
-        return (x.anchor, x.anchor - 1)
-    return None
-
-
 # union, intersect, complement, apply_f and apply_g are memoized on their
 # arguments: canonical forms make structural equality a sound key.  A key
-# hashes the sets' rows, which are NamedTuples so that this runs in C.  The
-# tables hold results for the parameter of the latest call only.  The cap
-# was set by measurement (2-core Xeon, Python 3.11): 4096 raised the audit
+# hashes its sets in C, as sets and rows are NamedTuples; a set's hash takes
+# in its parameter's hash, which the parameter computes once.  The tables
+# hold results for the parameter of the latest call only.  The cap was set
+# by measurement (2-core Xeon, Python 3.11): 4096 raised the audit
 # benchmark's peak RSS by up to 4%, 1024 by about 1%, at the same
 # throughput.
 
@@ -298,28 +300,38 @@ def _memoized(fn):
     return memo
 
 
-def _binary(x: SymbolicSet, y: SymbolicSet, mode_op, row_op) -> SymbolicSet:
+def _binary(x: SymbolicSet, y: SymbolicSet, is_union: bool) -> SymbolicSet:
     _check_same_param(x, y)
     s = x.sparam
-    spans = [sp for sp in (_span(x), _span(y)) if sp is not None]
-    below = mode_op(x.below_full, y.below_full)
-    above = mode_op(x.above_full, y.above_full)
-    if not spans:
+    if is_union:
+        below, above = x.below_full or y.below_full, x.above_full or y.above_full
+        row_op = row_union
+    else:
+        below, above = x.below_full and y.below_full, x.above_full and y.above_full
+        row_op = row_intersect
+    # a set that is not constant has its own rows on [anchor, anchor + len(rows))
+    x_varies = x.rows or x.below_full != x.above_full
+    y_varies = y.rows or y.below_full != y.above_full
+    if x_varies and y_varies:
+        lo = min(x.anchor, y.anchor)
+        end = max(x.anchor + len(x.rows), y.anchor + len(y.rows))
+    elif x_varies or y_varies:
+        z = x if x_varies else y
+        lo, end = z.anchor, z.anchor + len(z.rows)
+    else:
         return _make_set(s, below, above, 0, [])
-    lo = min(sp[0] for sp in spans)
-    hi = max(max(sp[1] for sp in spans), lo - 1)
-    rows = [row_op(s, x.row_at(q), y.row_at(q)) for q in range(lo, hi + 1)]
+    rows = [row_op(s, x.row_at(q), y.row_at(q)) for q in range(lo, end)]
     return _make_set(s, below, above, lo, rows)
 
 
 @_memoized
 def union(x: SymbolicSet, y: SymbolicSet) -> SymbolicSet:
-    return _binary(x, y, lambda a, b: a or b, row_union)
+    return _binary(x, y, True)
 
 
 @_memoized
 def intersect(x: SymbolicSet, y: SymbolicSet) -> SymbolicSet:
-    return _binary(x, y, lambda a, b: a and b, row_intersect)
+    return _binary(x, y, False)
 
 
 @_memoized
@@ -433,7 +445,8 @@ def _f_row_image(s: SParameter, r: Row) -> Row:
     if row_is_infinite(r):
         return FULL_ROW
     top = r.prefix.bit_length() - 1
-    return make_row(s, (1 << (top + 2)) - 2, top + 2, False, False)
+    # indices 1..top + 1; canonical as built, since bit top + 1 is its top bit
+    return Row((1 << (top + 2)) - 2, top + 2, False, False)
 
 
 def _g_row_image(s: SParameter, r: Row) -> Row:
@@ -470,10 +483,8 @@ def apply_g(x: SymbolicSet) -> SymbolicSet:
     low = x.row_at(low_level)
     out_low = _g_row_image(s, low)
     if row_meets_pattern(s, x.row_at(low_level + 1)):
-        out_low = row_union(s, out_low, make_row(s, 0b10, 2, False, False))
-    out_below = (
-        make_row(s, 0b10, 2, False, False) if row_meets_pattern(s, low) else EMPTY_ROW
-    )
+        out_low = row_union(s, out_low, INDEX_ONE_ROW)
+    out_below = INDEX_ONE_ROW if row_meets_pattern(s, low) else EMPTY_ROW
     return _make_set(s, False, True, low_level - 1, [out_below, out_low])
 
 

@@ -196,27 +196,16 @@ class SymbolicHandle:
 
     def __init__(self, s: SParameter):
         self.sparam = s
+        # the operators themselves, so that a program step costs one call;
+        # read from sym when the handle is built
+        self.join, self.meet, self.neg = sym.union, sym.intersect, sym.complement
+        self.f, self.g = sym.apply_f, sym.apply_g
 
     def zero(self):
         return sym.empty_set(self.sparam)
 
     def one(self):
         return sym.full_set(self.sparam)
-
-    def join(self, a, b):
-        return sym.union(a, b)
-
-    def meet(self, a, b):
-        return sym.intersect(a, b)
-
-    def neg(self, a):
-        return sym.complement(a)
-
-    def f(self, a):
-        return sym.apply_f(a)
-
-    def g(self, a):
-        return sym.apply_g(a)
 
     def eq(self, a, b):
         return sym.is_equal(a, b)
@@ -232,15 +221,18 @@ class SymbolicHandle:
 
 
 def _compile(t: Term) -> tuple[tuple, ...]:
-    """Steps ``(type, a, b)`` in dependency order, one per distinct node
-    object: ``a`` and ``b`` index earlier steps, or ``a`` is a Var's name.
+    """Steps ``(type, a, b)`` in dependency order, one per distinct
+    operation: ``a`` and ``b`` index earlier steps, or ``a`` is a Var's name.
+    Nodes that are equal as terms, such as two ``Var("x")`` objects or the
+    ``f`` steps above them, share one step.
 
     The walk keeps its own stack, so a term's depth is bounded by memory,
     not by Python's recursion limit.  A node is visited twice: first to
     stack its children (left on top), then, with their slots known, to
     emit its step; the order is that of a recursive post-order walk."""
     steps: list[tuple] = []
-    slots: dict[int, int] = {}
+    slot_of_step: dict[tuple, int] = {}
+    slots: dict[int, int] = {}  # id(node) -> the slot of its step
     stack: list[tuple[Term, bool]] = [(t, False)]
     while stack:
         node, ready = stack.pop()
@@ -263,13 +255,16 @@ def _compile(t: Term) -> tuple[tuple, ...]:
             step = (kind, slots[id(node.arg)], None)
         else:
             raise TypeError(f"unknown term node {node!r}")
-        slots[id(node)] = len(steps)
-        steps.append(step)
+        slot = slot_of_step.get(step)
+        if slot is None:
+            slot = slot_of_step[step] = len(steps)
+            steps.append(step)
+        slots[id(node)] = slot
     return tuple(steps)
 
 
 def eval_term(t: Term, handle, env: dict):
-    """Run the term's compiled program: every node once, shared ones too."""
+    """Run the term's compiled program: every distinct operation once."""
     f, g, neg, meet, join = handle.f, handle.g, handle.neg, handle.meet, handle.join
     values: list = []
     push = values.append

@@ -1,9 +1,14 @@
 import argparse
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import TWELVE_ATOM_NAMES, twelve_atom_structure
+from tensebench import cli
 from tensebench import terms as tm
 from tensebench.cli import build_parser, main
 
@@ -132,6 +137,27 @@ class TestFrame:
         code, out, _ = run(capsys, "frame", "check", "--in", str(path))
         assert code == 1
         assert "invalid" in out
+
+    @pytest.mark.parametrize("sub", ["build", "dot"])
+    def test_unwritable_out_refused_before_building(self, capsys, monkeypatch, tmp_path, sub):
+        def never(*args, **kwargs):
+            raise AssertionError("built the truncation before checking --out")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "build_truncation", never)
+        code, out, err = run(capsys, "frame", sub, "--s", "{3}", "--out", "missing/f.txt")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_refused_run_leaves_an_existing_out_file(self, capsys, tmp_path):
+        path = tmp_path / "frame.txt"
+        path.write_text("kept\n")
+        code, out, _ = run(capsys, "frame", "build", "--s", "{3}", "--budget", "1",
+                           "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert path.read_text() == "kept\n"
 
     def test_dot_loop_suppression(self, capsys):
         code, out, _ = run(capsys, "frame", "dot", "--s", "empty", "--lo", "0",
@@ -397,3 +423,22 @@ def leaf_options(parser, path=()):
 
 def test_option_surface():
     assert dict(leaf_options(build_parser())) == OPTIONS
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_requests_in_one_process_print_what_separate_processes_print(capsys):
+    # the parser is shared between calls of main; every call parses afresh
+    requests = [
+        ("distinguish", "--s", "{3}", "--t", "{5}", "--format", "records"),
+        ("audit", "fg", "--s", "{3}", "--format", "records"),
+        ("distinguish", "--s", "{3}", "--t", "{5}"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv in requests:
+        separate = subprocess.run([sys.executable, "-m", "tensebench.cli", *argv],
+                                  capture_output=True, text=True, env=env, check=False)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (separate.returncode, separate.stdout), argv

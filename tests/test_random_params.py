@@ -98,6 +98,33 @@ def test_row_shortcuts_match_raw_operations(s):
             assert meet == sym._row_binary(s, a, b, operator.and_), (a, b)
 
 
+def test_rows_built_directly_equal_the_make_row_construction(s):
+    # row_complement, tail_row, _f_row_image and INDEX_ONE_ROW build their
+    # rows without make_row; each must be the row make_row builds
+    def canonical(row):
+        return sym.validate_canonical(sym._make_set(s, False, False, 0, [row]))
+
+    rng = random.Random(f"{SEED} direct rows {s}")
+    rows = {sym.EMPTY_ROW, sym.FULL_ROW}
+    for _ in range(8):
+        x, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        rows.update(x.rows)
+    for r in sorted(rows):
+        complement = sym.row_complement(s, r)
+        flipped = r.prefix ^ ((1 << r.start) - 2)
+        assert complement == sym.make_row(s, flipped, r.start, not r.pat_tail, not r.off_tail), r
+        assert canonical(complement)
+        image = sym._f_row_image(s, r)
+        if r != sym.EMPTY_ROW and not sym.row_is_infinite(r):
+            top = r.prefix.bit_length() - 1
+            assert image == sym.make_row(s, (1 << (top + 2)) - 2, top + 2, False, False), r
+        assert canonical(image)
+    for k in range(1, 61):
+        assert sym.tail_row(s, k) == sym.make_row(s, 0, k, True, True), k
+        assert canonical(sym.tail_row(s, k))
+    assert sym.INDEX_ONE_ROW == sym.make_row(s, 0b10, 2, False, False)
+
+
 def test_basis_helpers_equal_the_make_row_construction(s):
     # the construction the helpers had before they built their sets directly
     def old(kind, p, m=None):
@@ -194,11 +221,15 @@ def test_mixed_parameter_union_still_raises():
             op(*args)
 
 
-def test_set_hash_leaves_out_the_parameter_but_equality_compares_it():
+def test_set_equality_compares_the_parameter():
     s, t = PARAMS[0], PARAMS[1]
     x, y = sym.basis(s, sym.BasisSet("V", 0)), sym.basis(t, sym.BasisSet("V", 0))
-    assert x.rows == y.rows and hash(x) == hash(y)
+    assert x.rows == y.rows
     assert x != y
+    # a copy over an equal parameter object is an equal key
+    copy_of_x = sym.SymbolicSet(SParameter(s.explicit, s.bound, s.tail_in), *x[1:])
+    assert copy_of_x.sparam is not s
+    assert copy_of_x == x and hash(copy_of_x) == hash(x)
     assert sym.complement(x).sparam is s and sym.complement(y).sparam is t
 
 

@@ -339,6 +339,28 @@ class TestCompiledEvaluator:
         assert term._program is term._program  # compiled once, kept on the node
         assert term == tm.Join(tm.Meet(tm.Fop(x), tm.Not(tm.Fop(x))), tm.Fop(x))
 
+    def test_duplicate_nodes_compile_to_the_shared_program(self):
+        # separate Var("x") and f(x) objects share the steps of one of each
+        shared_f = tm.Fop(tm.Var("x"))
+        shared = tm.Join(tm.Meet(shared_f, tm.Not(shared_f)), tm.Gop(shared_f))
+        duplicated = tm.Join(tm.Meet(tm.Fop(tm.Var("x")), tm.Not(tm.Fop(tm.Var("x")))),
+                             tm.Gop(tm.Fop(tm.Var("x"))))
+        assert duplicated == shared
+        assert duplicated._program == shared._program
+        assert [step[0] for step in shared._program] == [
+            tm.Var, tm.Fop, tm.Not, tm.Meet, tm.Gop, tm.Join]
+        rng = random.Random(7)
+        for _ in range(8):
+            handle = tm.FiniteHandle(random_finite_algebra(rng, rng.randint(1, 5)))
+            env = {"x": rng.randrange(handle.one() + 1)}
+            want = reference_eval(duplicated, handle, env)
+            assert tm.eval_term(duplicated, handle, env) == tm.eval_term(shared, handle, env) == want
+        for s in PARAMS[:6]:
+            handle = tm.SymbolicHandle(s)
+            env = {"x": random_element(rng, s, max_index=s.stable_from + 4)[0]}
+            want = reference_eval(duplicated, handle, env)
+            assert tm.eval_term(duplicated, handle, env) == tm.eval_term(shared, handle, env) == want
+
 
 class CountingHandle(tm.FiniteHandle):
     def __init__(self, alg):
@@ -370,12 +392,13 @@ class TestSharedNuSteps:
         assert tm.nu(n) == old_nu(n)
 
     def test_one_f_node_per_step(self):
-        # sigma has 9 f nodes and nu_3 adds f(sigma) and f(x); each later step adds one
+        # sigma has 8 distinct f steps (its f(x) is beta's) and nu_3 adds
+        # f(sigma), as its f(x) is the same step; each later step adds one
         handle = CountingHandle(two_element_identity_algebra())
         for n in range(3, 42):
             handle.f_calls = 0
             tm.eval_term(tm.nu(n), handle, {"x": 1})
-            assert handle.f_calls == n + 8, n
+            assert handle.f_calls == n + 6, n
 
 
 class TestQuantifierShapes:
