@@ -197,7 +197,8 @@ class SymbolicHandle:
     def __init__(self, s: SParameter):
         self.sparam = s
         # the operators themselves, so that a program step costs one call;
-        # read from sym when the handle is built
+        # read from sym when the handle is built, so that a wrapper put on
+        # sym before then is called
         self.join, self.meet, self.neg = sym.union, sym.intersect, sym.complement
         self.f, self.g = sym.apply_f, sym.apply_g
 
