@@ -87,7 +87,6 @@ from .search import (
     Classification,
     enumerate_total_frames,
     classify_minimal,
-    check_discriminator,
     enumerate_atom_structures,
 )
 

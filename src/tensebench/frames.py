@@ -5,6 +5,10 @@ The complex algebra of a finite frame is the ground-truth oracle for every
 symbolic computation in this package: the image/preimage operators are read
 straight off the adjacency relation, with no knowledge of the row/level
 structure the symbolic engine exploits.
+
+What some elements generate in a finite algebra of atom masks, tense or
+relation-type, is found by one routine, ``generated_partition``: it returns
+the atoms of the generated subalgebra as blocks of the algebra's atoms.
 """
 
 from __future__ import annotations
@@ -235,28 +239,34 @@ def _gather(adjacency: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def closure(seeds: Iterable, unary: tuple = (), binary: tuple = ()) -> set:
-    """The least superset of ``seeds`` closed under the ``unary`` and the
-    ``binary`` operations.
+def generated_partition(seeds: Iterable[int], one: int, unary: tuple = (),
+                        binary: tuple = ()) -> list[int]:
+    """The atoms of the subalgebra that ``seeds`` generate in the powerset of
+    the atoms of ``one``, under the ``unary`` and the ``binary`` operations,
+    as a sorted list of nonempty block masks.
 
-    A worklist: each element, once found, goes through every unary operation
-    and is combined with every element found before it and with itself.  It
-    is combined in both orders, ``op(x, y)`` and ``op(y, x)``, because an
-    operation such as relation composition does not commute, and the earlier
-    element ``y`` never meets the later ``x`` again."""
-    found = set(seeds)
-    pending = list(found)
-    done = []
-    while pending:
-        x = pending.pop()
-        done.append(x)
-        values = [op(x) for op in unary]
-        values += [value for y in done for op in binary for value in (op(x, y), op(y, x))]
-        for value in values:
-            if value not in found:
-                found.add(value)
-                pending.append(value)
-    return found
+    Every block is split by each seed, then by the image of every block under
+    each unary operation and of every ordered pair of blocks under each
+    binary one, until a pass splits nothing or every block is one atom.  The
+    operations are additive and send 0 to 0, so an image of a union of blocks
+    is the union of the blocks' images, and the blocks left are exactly the
+    atoms of the generated subalgebra."""
+    blocks = _split([one] if one else [], seeds)
+    while len(blocks) < one.bit_count():
+        images = [op(x) for op in unary for x in blocks]
+        images += [op(x, y) for op in binary for x in blocks for y in blocks]
+        refined = _split(blocks, images)
+        if len(refined) == len(blocks):
+            break
+        blocks = refined
+    return sorted(blocks)
+
+
+def _split(blocks: list[int], cuts: Iterable[int]) -> list[int]:
+    """The nonempty parts of the blocks inside and outside each cut."""
+    for cut in cuts:
+        blocks = [part for block in blocks for part in (block & cut, block & ~cut) if part]
+    return blocks
 
 
 def complex_f(frame: Frame, mask: int) -> int:

@@ -13,6 +13,8 @@ products of atoms.  Every law of the axiom suite reads the algebra alone
 and is decided on atoms, or on an element and an atom; only
 ``triangle_by_elements``, the plain loop over every triple of elements,
 capped at ``ELEMENT_TRIANGLE_CAP`` elements, builds a table for itself.
+The minimal subalgebra is found on atoms too: its atoms are the blocks of
+``frames.generated_partition``, and no element outside them is built.
 
 Composition over the symbolic carrier of a tense algebra has no code here:
 a composition term in ``x`` and ``y`` is evaluated like any other term, by
@@ -24,9 +26,8 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import product
-from operator import and_, or_
 
-from .frames import CapacityError, _gather, closure, iter_bits
+from .frames import CapacityError, _gather, generated_partition, iter_bits
 
 MAX_ATOMS = 12
 ELEMENT_TRIANGLE_CAP = 32  # element-level triangle enumeration up to this many elements
@@ -376,32 +377,24 @@ def structure_of(alg: FiniteRelAlgebra) -> AtomStructure:
 
 
 def minimal_subalgebra(alg: FiniteRelAlgebra) -> FiniteRelAlgebra:
-    """The subalgebra generated by the constants 0, 1, e."""
-    closed = closure(
-        {0, alg.one, alg.identity}, (alg.neg, alg.converse), (or_, and_, alg.compose)
+    """The subalgebra generated by the constants 0, 1, e.
+
+    Its atoms are the blocks of ``generated_partition``, in increasing mask
+    order.  A product or converse of blocks is a union of blocks, so it maps
+    to the new atoms by gathering a table that lifts each old atom to the
+    new atom of its block."""
+    blocks = generated_partition(
+        (alg.identity,), alg.one, (alg.converse,), (alg.compose,)
     )
-    # atoms of the Boolean subalgebra partition the top element
-    members = sorted(closed)
-    new_atoms = []
-    for x in members:
-        if x == 0:
-            continue
-        if not any(0 < y < x and y & x == y for y in members):
-            new_atoms.append(x)
-    index = {mask: i for i, mask in enumerate(new_atoms)}
-
-    def decompose(mask: int) -> int:
-        out = 0
-        for atom_mask, i in index.items():
-            if atom_mask & mask == atom_mask:
-                out |= 1 << i
-        return out
-
+    lift = [0] * alg.atom_count
+    for i, block in enumerate(blocks):
+        for a in iter_bits(block):
+            lift[a] = 1 << i
     comp = tuple(
-        tuple(decompose(alg.compose(a, b)) for b in new_atoms) for a in new_atoms
+        tuple(_gather(lift, alg.compose(x, y)) for y in blocks) for x in blocks
     )
-    conv = tuple(decompose(alg.converse(a)) for a in new_atoms)
-    return FiniteRelAlgebra(comp, conv, decompose(alg.identity))
+    conv = tuple(_gather(lift, alg.converse(x)) for x in blocks)
+    return FiniteRelAlgebra(comp, conv, _gather(lift, alg.identity))
 
 
 def minimal_point_algebra(base_size: int) -> FiniteRelAlgebra:

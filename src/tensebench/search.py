@@ -26,16 +26,17 @@ import itertools
 import time
 from array import array
 from dataclasses import dataclass, field
-from operator import and_, or_
 
 from . import relalg
-from .frames import CapacityError, Frame, FiniteTenseAlgebra, VertexId, closure, iter_bits
+from .frames import (
+    CapacityError, Frame, FiniteTenseAlgebra, VertexId, generated_partition, iter_bits,
+)
 from .parallel import parallel_map
 from .relalg import AtomStructure
 
 MAX_FRAME_SIZE = 5
 MAX_STRUCTURE_ATOMS = 4
-SUBALGEBRA_CAP = 1 << 10
+SUBALGEBRA_CAP = 10  # atoms, so at most 1024 elements
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def enumerate_total_frames(k: int) -> tuple[SearchReport, list[Frame]]:
 
 
 # ---------------------------------------------------------------------------
-# minimality classification and the discriminator check
+# minimality classification
 
 
 @dataclass(frozen=True)
@@ -165,37 +166,20 @@ class Classification:
 
 
 def classify_minimal(alg: FiniteTenseAlgebra) -> Classification:
-    """Whether every element outside {0, 1} generates the whole algebra.
+    """Whether every element outside {0, 1} generates the whole algebra,
+    that is, whether the partition it generates is every atom on its own.
 
     This is a finite heuristic filter for cover candidates, not a
     theorem-level certificate.
     """
-    size = alg.one + 1
-    if size > SUBALGEBRA_CAP:
-        raise CapacityError(f"{size} elements exceeds the {SUBALGEBRA_CAP} cap")
-    if size == 2:
+    if alg.atom_count > SUBALGEBRA_CAP:
+        raise CapacityError(f"{alg.atom_count} atoms exceeds the {SUBALGEBRA_CAP}-atom cap")
+    if alg.atom_count == 1:
         return Classification("TrivialSize2")
     for x in range(1, alg.one):
-        if len(closure({0, alg.one, x}, (alg.neg, alg.f, alg.g), (or_, and_))) < size:
+        if len(generated_partition((x,), alg.one, (alg.f, alg.g))) < alg.atom_count:
             return Classification("NotMinimal", x)
     return Classification("MinimalCoverCandidate")
-
-
-def check_discriminator(alg: FiniteTenseAlgebra) -> bool:
-    """Verify the unary unit u(x) = f(x) | g(x) | x by full enumeration:
-    u(0) = 0 and u(x) = 1 for every x != 0.  Requires a total algebra.
-
-    That is all the ternary discriminator t(x, y, z) =
-    (x & u(x ^ y)) | (z & ~u(x ^ y)) needs: x ^ y is 0 exactly when x = y,
-    so the gate u(x ^ y) is 0 when x = y, giving z, and 1 otherwise, giving
-    x.  No triple (x, y, z) can fail once the unit passes."""
-    if not alg.is_total_algebra():
-        raise ValueError("discriminator check requires a total algebra")
-
-    def u(x: int) -> int:
-        return alg.f(x) | alg.g(x) | x
-
-    return u(0) == 0 and all(u(x) == alg.one for x in range(1, alg.one + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +217,9 @@ def _forced_cycles(k: int, conv: tuple[int, ...]) -> frozenset[tuple[int, int, i
 
 
 def _orbit(triple: tuple[int, int, int], conv: tuple[int, ...]) -> frozenset:
-    """The triples that the six Peirce transforms reach from ``triple``."""
-    return frozenset(closure({triple}, tuple(
-        lambda t, transform=transform: transform(*t, conv)
-        for transform in relalg.PEIRCE_TRANSFORMS
-    )))
+    """The triples that the six Peirce transforms reach from ``triple``; they
+    form a group, so one step reaches all of them."""
+    return frozenset(transform(*triple, conv) for transform in relalg.PEIRCE_TRANSFORMS)
 
 
 _CONSTRAINT_NAMES = {

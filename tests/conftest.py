@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -109,3 +110,39 @@ def twelve_atom_structure(name: str):
 
 
 TWELVE_ATOM_NAMES = ("dense", "sparse", "subadditive")
+
+
+def reference_closure(seeds, unary=(), binary=()):
+    """Round-based fixpoint: every round applies each operation to every
+    element, and to every ordered pair, found by the round before."""
+    closed = set(seeds)
+    frontier = True
+    while frontier:
+        frontier = False
+        current = list(closed)
+        values = [op(x) for x in current for op in unary]
+        values += [op(x, y) for x in current for y in current for op in binary]
+        for value in values:
+            if value not in closed:
+                closed.add(value)
+                frontier = True
+    return closed
+
+
+def reference_generated(seeds, one, unary=(), binary=()):
+    """Every element of the subalgebra that ``seeds`` generate in the powerset
+    of ``one``: the closure of 0, 1 and the seeds under complement, join,
+    meet and the given operations."""
+    return reference_closure(
+        {0, one, *seeds},
+        (lambda x: one ^ x, *unary),
+        (operator.or_, operator.and_, *binary),
+    )
+
+
+def block_unions(blocks):
+    """Every union of some of the blocks."""
+    unions = {0}
+    for block in blocks:
+        unions |= {union | block for union in unions}
+    return unions

@@ -17,7 +17,9 @@ from tensebench import search as se
 from tensebench import symbolic as sym
 from tensebench import terms as tm
 from tensebench.frames import (
+    Frame,
     TruncationSpec,
+    VertexId,
     as_finite_algebra,
     build_truncation,
     complex_f,
@@ -214,7 +216,7 @@ def test_criterion_9_minimal_relation_algebras():
 
 
 def test_criterion_10_search():
-    with criterion(10, "frame enumeration counts, parallel determinism, discriminator checks"):
+    with criterion(10, "frame enumeration counts, parallel determinism, total-algebra checks"):
         started = time.perf_counter()
         report5, _ = se.enumerate_total_frames(5)
         report_sa, _ = se.enumerate_atom_structures(4, ("sym", "sa"))
@@ -234,4 +236,8 @@ def test_criterion_10_search():
         for k in (1, 2, 3):
             _, frames = se.enumerate_total_frames(k)
             for frame in frames:
-                assert se.check_discriminator(as_finite_algebra(frame))
+                assert as_finite_algebra(frame).is_total_algebra()
+        # a reflexive frame on two points that see nothing else
+        points = [VertexId(0, 1), VertexId(0, 2)]
+        apart = Frame(points, [(p, p) for p in points])
+        assert not as_finite_algebra(apart).is_total_algebra()

@@ -243,6 +243,13 @@ class TestRelalg:
         assert code == 0
         assert "atoms 2" in out
 
+    def test_minsub_of_no_atoms(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("atoms 0\n")
+        code, out, _ = run(capsys, "relalg", "minsub", "--in", str(path))
+        assert code == 0
+        assert out.splitlines()[1:] == ["atoms 0"]
+
 
 # Lines with too few fields, one file per case.
 SHORT_LINES = [

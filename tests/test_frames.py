@@ -1,10 +1,9 @@
 import itertools
 import random
-from operator import and_, or_
 
 import pytest
 
-from conftest import seeded_structure
+from conftest import block_unions, reference_closure, reference_generated, seeded_structure
 from tensebench import relalg as ra
 from tensebench import search as se
 from tensebench.frames import (
@@ -16,10 +15,10 @@ from tensebench.frames import (
     as_finite_algebra,
     _transpose,
     build_truncation,
-    closure,
     complex_f,
     complex_g,
     edge_present,
+    generated_partition,
     export_dot,
     frame_to_text,
     is_reflexive,
@@ -141,28 +140,14 @@ class TestFiniteAlgebra:
                 assert bool(alg.f_atom[i] >> j & 1) == bool(alg.g_atom[j] >> i & 1)
 
 
-def reference_closure(seeds, unary=(), binary=()):
-    """Round-based fixpoint: every round applies each operation to every
-    element, and to every ordered pair, found by the round before."""
-    closed = set(seeds)
-    frontier = True
-    while frontier:
-        frontier = False
-        current = list(closed)
-        values = [op(x) for x in current for op in unary]
-        values += [op(x, y) for x in current for y in current for op in binary]
-        for value in values:
-            if value not in closed:
-                closed.add(value)
-                frontier = True
-    return closed
-
-
 def random_seeds(rng, alg, count):
     return {rng.randrange(alg.one + 1) for _ in range(count)}
 
 
 class TestClosure:
+    """`generated_partition` against the element closure: the unions of its
+    blocks are every element that 0, 1 and the seeds generate."""
+
     def test_random_tense_algebras(self):
         rng = random.Random(12)
         for _ in range(200):
@@ -170,29 +155,27 @@ class TestClosure:
             f_atom = tuple(rng.randrange(1 << n) for _ in range(n))
             alg = FiniteTenseAlgebra(f_atom, _transpose(f_atom))
             seeds = random_seeds(rng, alg, rng.randint(1, 3))
-            for unary, binary in (
-                ((alg.neg, alg.f, alg.g), (or_, and_)),
-                ((alg.f, alg.g), (or_,)),
-                ((alg.f,), ()),
-            ):
-                assert closure(seeds, unary, binary) == reference_closure(seeds, unary, binary)
+            for unary in ((alg.f, alg.g), (alg.f,), ()):
+                blocks = generated_partition(seeds, alg.one, unary)
+                assert 0 not in blocks and blocks == sorted(blocks)
+                assert block_unions(blocks) == reference_generated(seeds, alg.one, unary)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("mode", ["raw", "closed", "dropped"])
     def test_noncommuting_composition(self, k, mode):
-        # composition alone generates a subsemigroup, which depends on the
-        # order of its arguments whenever x;y != y;x
+        # x;y != y;x in general, so both orders of every pair of blocks count
         rng = random.Random(k)
         for seed in range(6):
             alg = ra.expand(seeded_structure(k, seed, mode, 0.3))
             for _ in range(4):
                 seeds = random_seeds(rng, alg, rng.randint(1, 2))
-                for unary, binary in (
-                    ((), (alg.compose,)),
-                    ((alg.neg, alg.converse), (or_, and_, alg.compose)),
-                ):
-                    assert (closure(seeds, unary, binary)
-                            == reference_closure(seeds, unary, binary))
+                unary, binary = (alg.converse,), (alg.compose,)
+                blocks = generated_partition(seeds, alg.one, unary, binary)
+                assert (block_unions(blocks)
+                        == reference_generated(seeds, alg.one, unary, binary))
+
+    def test_no_atoms(self):
+        assert generated_partition((), 0) == []
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_peirce_orbits(self, k):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import seeded_structure
+from conftest import reference_generated, seeded_structure
 from test_search import search_raw_structures
 from tensebench import relalg as ra
 from tensebench import search as se
@@ -95,6 +95,64 @@ class TestMinimalAlgebras:
         assert again.one == mini.one
         assert again.comp_atom == mini.comp_atom
         assert again.identity == mini.identity
+
+
+def reference_minimal_subalgebra(alg):
+    """`minimal_subalgebra` from every element that 0, 1 and e generate: its
+    atoms are the least nonzero members, and every product is decomposed
+    into them."""
+    members = sorted(reference_generated(
+        {alg.identity}, alg.one, (alg.converse,), (alg.compose,)
+    ))
+    new_atoms = [
+        x for x in members
+        if x and not any(0 < y < x and y & x == y for y in members)
+    ]
+
+    def decompose(mask):
+        return sum(1 << i for i, atom in enumerate(new_atoms) if atom & mask == atom)
+
+    comp = tuple(
+        tuple(decompose(alg.compose(a, b)) for b in new_atoms) for a in new_atoms
+    )
+    conv = tuple(decompose(alg.converse(a)) for a in new_atoms)
+    return ra.FiniteRelAlgebra(comp, conv, decompose(alg.identity))
+
+
+def algebra_state(alg):
+    return alg.atom_count, alg.comp_atom, alg.conv_atom, alg.identity
+
+
+class TestMinimalSubalgebraReference:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_searched_structure(self, k):
+        _, structures = se.enumerate_atom_structures(k)
+        for structure in structures:
+            alg = ra.expand(structure)
+            assert (algebra_state(ra.minimal_subalgebra(alg))
+                    == algebra_state(reference_minimal_subalgebra(alg))), structure
+
+    def test_converse_splits_a_block(self):
+        # converse 1 <-> 2; a;b is e for b = a-converse and {1, 3} otherwise,
+        # so composition alone leaves the block {1, 3} and converse splits it
+        conv = (0, 2, 1, 3)
+        cycles = {(0, a, a) for a in range(4)} | {(a, 0, a) for a in range(4)}
+        for a, b in itertools.product((1, 2, 3), repeat=2):
+            cycles |= {(a, b, 0)} if b == conv[a] else {(a, b, 1), (a, b, 3)}
+        alg = ra.expand(ra.AtomStructure(4, conv, frozenset({0}), frozenset(cycles)))
+        assert (algebra_state(ra.minimal_subalgebra(alg))
+                == algebra_state(reference_minimal_subalgebra(alg)))
+        assert ra.minimal_subalgebra(alg).atom_count == 4
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_every_raw_structure(self, k):
+        structures = (
+            all_raw_structures(k) if k else [ra.AtomStructure(0, (), frozenset(), frozenset())]
+        )
+        for structure in structures:
+            alg = ra.expand(structure)
+            assert (algebra_state(ra.minimal_subalgebra(alg))
+                    == algebra_state(reference_minimal_subalgebra(alg))), structure
 
 
 def all_raw_structures(k):

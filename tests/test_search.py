@@ -2,14 +2,14 @@ import dataclasses
 import functools
 import hashlib
 import itertools
-import operator
 
 import pytest
 
+from conftest import reference_generated
 from tensebench import relalg as ra
 from tensebench import search as se
 from tensebench.frames import (
-    CapacityError, Frame, VertexId, as_finite_algebra, closure, is_total, iter_bits,
+    CapacityError, Frame, VertexId, as_finite_algebra, is_total, iter_bits,
 )
 
 # (raw, iso) of the total-frame search for k = 1..5
@@ -339,8 +339,7 @@ class TestClassify:
         assert result.kind == "NotMinimal"
         assert result.witness is not None
         alg = as_finite_algebra(frame)
-        closed = closure({0, alg.one, result.witness}, (alg.neg, alg.f, alg.g),
-                         (operator.or_, operator.and_))
+        closed = reference_generated({result.witness}, alg.one, (alg.f, alg.g))
         assert len(closed) == 4 < alg.one + 1
 
     @pytest.mark.parametrize("k", sorted(CLASSIFY_PINS))
@@ -352,31 +351,36 @@ class TestClassify:
             for pin in CLASSIFY_PINS[k]
         ]
 
-    def test_candidates_are_discriminator(self):
-        for k in (1, 2, 3):
-            _, frames = se.enumerate_total_frames(k)
-            for frame in frames:
-                alg = as_finite_algebra(frame)
-                if se.classify_minimal(alg).kind == "MinimalCoverCandidate":
-                    assert se.check_discriminator(alg)
+    def test_five_point_frames_match_the_element_closure(self):
+        _, frames = se.enumerate_total_frames(5)
+        assert len(frames) == 582
+        for frame in frames:
+            alg = as_finite_algebra(frame)
+            assert se.classify_minimal(alg) == reference_classify(alg)
+
+    def test_cap_is_ten_atoms(self):
+        # a chain: every vertex sees itself and every later vertex
+        def chain(k):
+            vs = [VertexId(0, i + 1) for i in range(k)]
+            return Frame(vs, [(a, b) for a in vs for b in vs if a <= b])
+
+        frame = chain(10)
+        assert is_total(frame)
+        alg = as_finite_algebra(frame)
+        assert se.classify_minimal(alg) == reference_classify(alg)
+        with pytest.raises(CapacityError, match="11 atoms exceeds the 10-atom cap"):
+            se.classify_minimal(as_finite_algebra(chain(11)))
 
 
-class TestDiscriminator:
-    def test_two_element_identity_algebra(self):
-        _, frames = se.enumerate_total_frames(1)
-        assert se.check_discriminator(as_finite_algebra(frames[0]))
-
-    def test_all_total_frames_up_to_three(self):
-        for k in (1, 2, 3):
-            _, frames = se.enumerate_total_frames(k)
-            for frame in frames:
-                assert se.check_discriminator(as_finite_algebra(frame))
-
-    def test_non_total_rejected(self):
-        vs = [VertexId(0, 1), VertexId(0, 2)]
-        frame = Frame(vs, [(v, v) for v in vs])
-        with pytest.raises(ValueError):
-            se.check_discriminator(as_finite_algebra(frame))
+def reference_classify(alg):
+    """`classify_minimal` by closing each element under every operation."""
+    size = alg.one + 1
+    if size == 2:
+        return se.Classification("TrivialSize2")
+    for x in range(1, alg.one):
+        if len(reference_generated({x}, alg.one, (alg.f, alg.g))) < size:
+            return se.Classification("NotMinimal", x)
+    return se.Classification("MinimalCoverCandidate")
 
 
 class TestAtomStructures:
