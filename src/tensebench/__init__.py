@@ -39,7 +39,6 @@ from .symbolic import (
     apply_g_table,
     decompose_to_basis,
     cardinality,
-    atom_test,
     max_level,
     min_level,
     shift,

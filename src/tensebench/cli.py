@@ -10,7 +10,7 @@ identical invocations is byte-identical; timing goes to stderr.  Only
 frames`` accepts ``--jobs`` and runs in one process.  Exit codes: 0 on
 success or all-confirmed, 1 on a counterexample outside the allowlist or a
 non-separated outcome, 2 on usage errors, malformed input, exhausted
-capacity or a term too deep to parse or evaluate.
+capacity or a term too deep to evaluate.
 """
 
 from __future__ import annotations

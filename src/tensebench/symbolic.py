@@ -532,11 +532,6 @@ def decompose_to_basis(x: SymbolicSet) -> tuple[BasisSet, ...]:
     return tuple(sorted(parts, key=_basis_sort_key))
 
 
-def _sbar_members(s: SParameter, m: int) -> tuple[tuple[int, ...], bool]:
-    """Indices of the off-pattern tail from m (excluding 1): (listed, infinite)."""
-    return s.off_pattern_from(max(m, 2))
-
-
 def _clause_f(s: SParameter, b: BasisSet) -> SymbolicSet:
     p, m = b.level, b.index
     if b.kind == "A":
@@ -552,7 +547,7 @@ def _clause_f(s: SParameter, b: BasisSet) -> SymbolicSet:
         return full_set(s)
     if b.kind == "S":
         return basis_d(s, p)
-    listed, infinite = _sbar_members(s, m)
+    listed, infinite = s.off_pattern_from(max(m, 2))  # Sbar excludes index 1
     if infinite:
         return basis_d(s, p)
     if not listed:
@@ -640,10 +635,6 @@ def cardinality(x: SymbolicSet) -> Cardinality:
             return INFINITE
         total += n
     return Cardinality(total)
-
-
-def atom_test(x: SymbolicSet) -> bool:
-    return cardinality(x) == Cardinality(1)
 
 
 @dataclass(frozen=True)

@@ -330,10 +330,17 @@ class NotF(Formula):
 
 
 @dataclass(frozen=True)
-class ExistsAtoms(Formula):
+class _Quantifier(Formula):
     names: tuple[str, ...]
     body: Formula
 
+    def __post_init__(self):
+        if not self.names or len(set(self.names)) != len(self.names):
+            raise ValueError(f"a quantifier takes one or more distinct names, got {self.names!r}")
+
+
+@dataclass(frozen=True)
+class ExistsAtoms(_Quantifier):
     @functools.cached_property
     def _subject(self) -> Term | None:
         """t if the body is t = v1 | ... | vk over the quantified names."""
@@ -341,10 +348,7 @@ class ExistsAtoms(Formula):
 
 
 @dataclass(frozen=True)
-class ForallAtoms(Formula):
-    names: tuple[str, ...]
-    body: Formula
-
+class ForallAtoms(_Quantifier):
     @functools.cached_property
     def _subject(self) -> Term | None:
         """t if the body is the atomhood shape t & y = 0 or t & y = t."""
@@ -352,15 +356,13 @@ class ForallAtoms(Formula):
 
 
 @dataclass(frozen=True)
-class Exists(Formula):
-    names: tuple[str, ...]
-    body: Formula
+class Exists(_Quantifier):
+    pass
 
 
 @dataclass(frozen=True)
-class Forall(Formula):
-    names: tuple[str, ...]
-    body: Formula
+class Forall(_Quantifier):
+    pass
 
 
 def _fresh(base: str, avoid: str) -> str:
@@ -417,7 +419,7 @@ def eval_formula(fm: Formula, handle, env: dict) -> bool:
             return go(fm.left, env) or go(fm.right, env)
         if isinstance(fm, NotF):
             return not go(fm.arg, env)
-        if isinstance(fm, (ExistsAtoms, Exists, ForallAtoms, Forall)):
+        if isinstance(fm, _Quantifier):
             return quantifier(fm, handle, env, go)
         raise TypeError(f"unknown formula node {fm!r}")
 
@@ -630,7 +632,29 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>!=|[()&|~=.01]))"
 )
 
-_KEYWORDS = {"f", "g", "and", "or", "not", "exists_atom", "forall_atom", "exists", "forall"}
+# The parser's one table: each operator's precedence (a larger one binds
+# tighter, and equal ones associate to the left), the node it builds and
+# the type of its operands.  A bracket is loosest, and ``f(`` and ``g(``
+# are brackets that build a node when they close.  Quantifiers come next,
+# so a quantifier's body runs to the end of its bracket group.
+_OPERATORS = {
+    "(": (0, None, None),
+    "f": (0, Fop, Term),
+    "g": (0, Gop, Term),
+    "exists_atom": (1, ExistsAtoms, Formula),
+    "forall_atom": (1, ForallAtoms, Formula),
+    "exists": (1, Exists, Formula),
+    "forall": (1, Forall, Formula),
+    "or": (2, Or, Formula),
+    "and": (3, And, Formula),
+    "not": (4, NotF, Formula),
+    "=": (5, Eq, Term),
+    "!=": (5, Neq, Term),
+    "|": (6, Join, Term),
+    "&": (7, Meet, Term),
+    "~": (8, Not, Term),
+}
+_INFIX = ("or", "and", "=", "!=", "|", "&")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -647,144 +671,95 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of input")
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    # terms
-    def term(self) -> Term:
-        t = self.term_meet()
-        while self.peek() == "|":
-            self.take()
-            t = Join(t, self.term_meet())
-        return t
-
-    def term_meet(self) -> Term:
-        t = self.term_unary()
-        while self.peek() == "&":
-            self.take()
-            t = Meet(t, self.term_unary())
-        return t
-
-    def term_unary(self) -> Term:
-        if self.peek() == "~":
-            self.take()
-            return Not(self.term_unary())
-        return self.term_prim()
-
-    def term_prim(self) -> Term:
-        tok = self.take()
-        if tok == "0":
-            return ZERO
-        if tok == "1":
-            return ONE
-        if tok == "(":
-            t = self.term()
-            self.take(")")
-            return t
-        if tok in ("f", "g"):
-            self.take("(")
-            t = self.term()
-            self.take(")")
-            return Fop(t) if tok == "f" else Gop(t)
-        if tok in _KEYWORDS:
-            raise ValueError(f"{tok!r} is reserved")
-        return Var(tok)
-
-    # formulas
-    def formula(self) -> Formula:
-        if self.peek() in ("exists_atom", "forall_atom", "exists", "forall"):
-            kind = self.take()
-            names = []
-            while self.peek() not in (".",):
-                tok = self.take()
-                if tok in _KEYWORDS or not tok[0].isalpha():
-                    raise ValueError(f"bad quantified variable {tok!r}")
-                names.append(tok)
-            self.take(".")
-            body = self.formula()
-            ctor = {
-                "exists_atom": ExistsAtoms,
-                "forall_atom": ForallAtoms,
-                "exists": Exists,
-                "forall": Forall,
-            }[kind]
-            return ctor(tuple(names), body)
-        return self.formula_or()
-
-    def formula_or(self) -> Formula:
-        fm = self.formula_and()
-        while self.peek() == "or":
-            self.take()
-            fm = Or(fm, self.formula_and())
-        return fm
-
-    def formula_and(self) -> Formula:
-        fm = self.formula_not()
-        while self.peek() == "and":
-            self.take()
-            fm = And(fm, self.formula_not())
-        return fm
-
-    def formula_not(self) -> Formula:
-        if self.peek() == "not":
-            self.take()
-            return NotF(self.formula_not())
-        return self.formula_atom()
-
-    def formula_atom(self) -> Formula:
-        if self.peek() == "(":
-            # could be a parenthesized formula or a term in an equation;
-            # try formula first, fall back to equation parsing
-            saved = self.pos
-            try:
-                self.take("(")
-                fm = self.formula()
-                self.take(")")
-                if self.peek() in ("=", "!="):
-                    raise ValueError("term context")
-                return fm
-            except ValueError:
-                self.pos = saved
-        left = self.term()
-        op = self.take()
-        if op not in ("=", "!="):
-            raise ValueError(f"expected '=' or '!=', got {op!r}")
-        right = self.term()
-        return Eq(left, right) if op == "=" else Neq(left, right)
+def _is_name(tok: str) -> bool:
+    """A variable or quantified name: a token the tokenizer matched as a
+    name (no operator token is an identifier) that is not a keyword."""
+    return tok.isidentifier() and tok not in _OPERATORS
 
 
-def _parse(text: str, start):
-    # the parser recurses once per nesting level, so deep input runs out of stack
-    parser = _Parser(_tokenize(text))
-    try:
-        out = start(parser)
-    except RecursionError:
-        raise ValueError("term nested too deep to parse") from None
-    if parser.peek() is not None:
-        raise ValueError(f"trailing input at {parser.peek()!r}")
+def _parse(text: str, want: type):
+    """One pass over the tokens with two explicit stacks, so nesting depth
+    is bounded by memory, not by recursion: ``operands`` holds the nodes
+    built so far and ``pending`` the operators still waiting for theirs,
+    as ``(precedence, token, names)``.  An infix operator first builds
+    every pending one that binds at least as tightly, and ``)`` builds
+    everything back to its bracket.  Each node checks the type of its
+    operands as it is built, so ``(`` need not guess whether it opens a
+    term or a formula."""
+    tokens = _tokenize(text)
+    operands: list = []
+    pending: list[tuple] = []
+
+    def build_top() -> None:
+        _, tok, names = pending.pop()
+        _, node, operand = _OPERATORS[tok]
+        if node is None:  # a plain bracket leaves its operand as it is
+            return
+        arity = 2 if tok in _INFIX else 1
+        args = operands[len(operands) - arity:]
+        if not all(isinstance(arg, operand) for arg in args):
+            raise ValueError(f"{tok!r} takes {operand.__name__.lower()} operands")
+        del operands[len(operands) - arity:]
+        operands.append(node(*args) if names is None else node(names, *args))
+
+    def build_down_to(prec: int) -> None:
+        while pending and pending[-1][0] >= prec:
+            build_top()
+
+    expect_operand = True
+    pos = 0
+    while pos < len(tokens):
+        tok = tokens[pos]
+        pos += 1
+        if expect_operand and tok in _OPERATORS and tok not in _INFIX:
+            prec, names = _OPERATORS[tok][0], None
+            if tok in ("f", "g"):
+                if tokens[pos:pos + 1] != ["("]:
+                    raise ValueError(f"expected '(' after {tok!r}")
+                pos += 1
+            elif prec == 1:  # a quantifier: its names, then '.'
+                dot = pos
+                while dot < len(tokens) and _is_name(tokens[dot]):
+                    dot += 1
+                if tokens[dot:dot + 1] != ["."]:
+                    raise ValueError(f"{tok!r} takes names, then '.'")
+                names, pos = tuple(tokens[pos:dot]), dot + 1
+            pending.append((prec, tok, names))
+        elif expect_operand and (tok in ("0", "1") or _is_name(tok)):
+            operands.append(ZERO if tok == "0" else ONE if tok == "1" else Var(tok))
+            expect_operand = False
+        elif expect_operand:
+            raise ValueError(f"expected a term or formula, got {tok!r}")
+        elif tok in _INFIX:
+            prec = _OPERATORS[tok][0]
+            build_down_to(prec)
+            pending.append((prec, tok, None))
+            expect_operand = True
+        elif tok == ")":
+            build_down_to(1)
+            if not pending:
+                raise ValueError("unmatched ')'")
+            build_top()
+        else:
+            raise ValueError(f"expected an operator, got {tok!r}")
+    if expect_operand:
+        raise ValueError("unexpected end of input")
+    build_down_to(1)
+    if pending:
+        raise ValueError(f"unclosed {pending[-1][1]!r}")
+    (out,) = operands
+    if not isinstance(out, want):
+        got = "formula" if want is Term else "term"
+        raise ValueError(f"expected a {want.__name__.lower()}, got a {got}")
     return out
 
 
 def parse_term(text: str) -> Term:
-    return _parse(text, _Parser.term)
+    return _parse(text, Term)
 
 
 def parse_formula(text: str) -> Formula:
-    return _parse(text, _Parser.formula)
+    return _parse(text, Formula)
 
 
 def format_term(t: Term, prec: int = 0) -> str:
@@ -822,11 +797,6 @@ def format_formula(fm: Formula, prec: int = 0) -> str:
     if isinstance(fm, Or):
         body = f"{format_formula(fm.left, 1)} or {format_formula(fm.right, 2)}"
         return f"({body})" if prec > 1 else body
-    keyword = {
-        ExistsAtoms: "exists_atom",
-        ForallAtoms: "forall_atom",
-        Exists: "exists",
-        Forall: "forall",
-    }[type(fm)]
+    keyword = next(tok for tok, (_, node, _) in _OPERATORS.items() if node is type(fm))
     body = f"{keyword} {' '.join(fm.names)} . {format_formula(fm.body)}"
     return f"({body})" if prec > 0 else body

@@ -51,11 +51,12 @@ class TestEval:
         assert out.startswith("# tw eval ")
 
     def test_too_deep_to_parse_prints_nothing(self, capsys):
+        # nested deeper than the recursion limit, yet it parses and evaluates
         term = "f(" * 1500 + "x" + ")" * 1500
         code, out, err = run(capsys, "eval", "--s", "empty", "--term", term, "--at", "A(0,1)")
-        assert code == 2
-        assert out == ""
-        assert err == "error: term nested too deep to parse\n"
+        assert code == 0
+        assert out.splitlines()[-1] == "D(750)"
+        assert err == ""
 
 
 class TestAudit:
@@ -346,6 +347,10 @@ class TestUsageErrors:
         ("search", "frames", "--k", "6"),
         ("audit", "fg", "--s", "{4}"),
         ("eval", "--s", "{3}", "--term", "x", "--at", "A(0,0)"),
+        ("eval", "--s", "empty", "--term", "x | &", "--at", "A(0,1)", "--env", "&=A(0,2)"),
+        ("eval", "--s", "empty", "--term", "x & )", "--at", "A(0,1)", "--env", ")=A(0,2)"),
+        ("eval", "--s", "empty", "--term", "x | =", "--at", "A(0,1)", "--env", "==A(0,2)"),
+        ("eval", "--s", "empty", "--term", "x | .", "--at", "A(0,1)", "--env", ".=A(0,2)"),
         ("frame", "check", "--in", "missing.txt"),
         ("frame", "build", "--s", "{3}", "--imax", "8", "--out", "missing/f.txt"),
         ("frame", "dot", "--s", "{3}", "--imax", "8", "--out", "missing/f.txt"),

@@ -153,11 +153,6 @@ class TestCardinality:
         o = parse_sparam("O")
         assert sym.cardinality(sym.basis(o, B("Sbar", 0, 2))).count == 0
 
-    def test_atom_test(self):
-        assert sym.atom_test(sym.basis(S_EMPTY, B("A", 2, 9)))
-        assert not sym.atom_test(sym.basis(S_EMPTY, B("V", 0)))
-        assert not sym.atom_test(sym.empty_set(S_EMPTY))
-
 
 class TestLevels:
     def test_down_set_max(self):

@@ -233,13 +233,69 @@ class TestSyntax:
             tm.parse_term("f & x")
 
     @pytest.mark.parametrize("parse, text", [
-        (tm.parse_term, "f(" * 1500 + "x" + ")" * 1500),
-        (tm.parse_formula, "not " * 1500 + "x = 0"),
-        (tm.parse_formula, "(" * 1500 + "x = 0" + ")" * 1500),
-    ], ids=["term", "formula-not", "formula-parens"])
-    def test_too_deep_to_parse(self, parse, text):
-        with pytest.raises(ValueError, match="^term nested too deep to parse$"):
+        (tm.parse_term, "x | &"),
+        (tm.parse_term, "x & )"),
+        (tm.parse_term, "="),
+        (tm.parse_term, "."),
+        (tm.parse_formula, "x = &"),
+        (tm.parse_formula, "x != )"),
+        (tm.parse_formula, "= = x"),
+        (tm.parse_formula, "x = ."),
+    ])
+    def test_operator_token_is_no_variable(self, parse, text):
+        with pytest.raises(ValueError):
             parse(text)
+
+    def test_quantifier_body_runs_to_the_end_of_its_bracket_group(self):
+        x, y, w = tm.Var("x"), tm.Var("y"), tm.Var("w")
+        assert tm.parse_formula("x = 0 and exists_atom w . x = w or y = 0") == tm.And(
+            tm.Eq(x, tm.ZERO), tm.ExistsAtoms(("w",), tm.Or(tm.Eq(x, w), tm.Eq(y, tm.ZERO))))
+        assert tm.parse_formula("(exists w . x = w) or y = 0") == tm.Or(
+            tm.Exists(("w",), tm.Eq(x, w)), tm.Eq(y, tm.ZERO))
+        assert tm.parse_formula("not forall _w . x = _w") == tm.NotF(
+            tm.Forall(("_w",), tm.Eq(x, tm.Var("_w"))))
+
+    @pytest.mark.parametrize("parse, text, spine, leaf", [
+        (tm.parse_term, "f(" * 1500 + "x" + ")" * 1500, tm.Fop, tm.Var("x")),
+        (tm.parse_formula, "not " * 1500 + "x = 0", tm.NotF, tm.Eq(tm.Var("x"), tm.ZERO)),
+        (tm.parse_formula, "(" * 1500 + "x = 0" + ")" * 1500, None, tm.Eq(tm.Var("x"), tm.ZERO)),
+    ], ids=["term", "formula-not", "formula-parens"])
+    def test_too_deep_to_parse(self, parse, text, spine, leaf):
+        # deeper than the recursion limit: the parser keeps its own stacks
+        node = parse(text)
+        for _ in range(1500 if spine else 0):
+            assert type(node) is spine
+            node = node.arg
+        assert node == leaf
+
+
+class TestQuantifierNames:
+    @pytest.mark.parametrize("node", [tm.ExistsAtoms, tm.ForallAtoms, tm.Exists, tm.Forall])
+    @pytest.mark.parametrize("names", [(), ("w", "w"), ("w", "y", "w")])
+    def test_node_refuses_no_names_or_a_repeated_one(self, node, names):
+        with pytest.raises(ValueError, match="distinct names"):
+            node(names, tm.Eq(tm.Var("x"), tm.ZERO))
+
+    @pytest.mark.parametrize("text", [
+        "exists_atom w w . x = w | w",
+        "exists_atom . x = 0",
+        "forall y y . x = y",
+        "x = 0 and exists_atom w y w . x = w",
+    ])
+    def test_parser_refuses_no_names_or_a_repeated_one(self, text):
+        with pytest.raises(ValueError, match="distinct names"):
+            tm.parse_formula(text)
+
+    def test_join_of_two_atoms_agrees_on_both_carriers(self):
+        # with the names distinct, the classifier and the enumeration of
+        # the truncation agree
+        s = S_EMPTY
+        fm = tm.parse_formula("exists_atom w y . x = w | y")
+        x = sym.union(atom(s, 0, 1), atom(s, 0, 2))
+        assert tm.eval_formula(fm, tm.SymbolicHandle(s), {"x": x})
+        frame = build_truncation(TruncationSpec(-1, 1, 4), s)
+        finite = tm.FiniteHandle(as_finite_algebra(frame))
+        assert tm.eval_formula(fm, finite, {"x": frame.mask([VertexId(0, 1), VertexId(0, 2)])})
 
 
 class TestOracleAgreement:
