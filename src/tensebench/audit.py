@@ -570,14 +570,16 @@ def audit_steps(s: SParameter) -> AuditReport:
     """sigma on index-1 atoms, and both readings of the step-term claim."""
     entries = []
     handle = tm.SymbolicHandle(s)
+    # each term is built, and so compiled, once for all levels
+    sigma = tm.sigma()
+    nus = {n: tm.nu(n) for n in range(3, _STEPS_N_MAX + 1)}
     for p in _STEPS_LEVELS:
         a1 = sym.basis_a(s, p, 1)
-        got = tm.eval_term(tm.sigma(), handle, {"x": a1})
+        got = tm.eval_term(sigma, handle, {"x": a1})
         entries.append(_entry_eq(f"term=sigma p={p}", f"sigma(A({p},1))", got,
                                  sym.basis_a(s, p, 2)))
         sig_val = got
-        for n in range(3, _STEPS_N_MAX + 1):
-            nu_term = tm.nu(n)
+        for n, nu_term in nus.items():
             direct = tm.eval_term(nu_term, handle, {"x": a1})
             entries.append(_entry_eq(
                 f"term=nu n={n} p={p} reading=proof", f"nu_{n}(A({p},1))",
@@ -587,7 +589,7 @@ def audit_steps(s: SParameter) -> AuditReport:
                 f"term=nu n={n} p={p} reading=statement", f"nu_{n}(sigma(A({p},1)))",
                 composed, sym.basis_a(s, p, n)))
         # the printed proof line ends at index 3 instead of 4
-        nu4 = tm.eval_term(tm.nu(4), handle, {"x": a1})
+        nu4 = tm.eval_term(nus[4], handle, {"x": a1})
         entries.append(_entry_eq(
             f"term=nu n=4 p={p} reading=proof-line-nu4", f"nu_4(A({p},1))",
             nu4, sym.basis_a(s, p, 3)))
@@ -638,18 +640,20 @@ def audit_bgen(s: SParameter) -> AuditReport:
         entries.append(_entry_eq(f"term=D q={q}", f"f^2(V({q - 1}))", ds[q], sym.basis_d(s, q)))
         entries.append(_entry_eq(f"term=U q={q}", f"g^2(V({q + 1}))", us[q], sym.basis_u(s, q)))
     atoms: dict[tuple[int, int], SymbolicSet] = {}
+    sigma = tm.sigma()
+    nus = {m: tm.nu(m) for m in range(3, _BGEN_M_MAX + 1)}
     for q in _BGEN_LEVELS:
         uq1 = us[q + 1] if q + 1 in us else sym.basis_u(s, q + 1)
         a1 = inter(g(uq1), comp(uq1))
         atoms[(q, 1)] = a1
         entries.append(_entry_eq(f"term=A1 q={q}", f"g(U({q + 1})) & ~U({q + 1})",
                                  a1, sym.basis_a(s, q, 1)))
-        sig = tm.eval_term(tm.sigma(), handle, {"x": a1})
+        sig = tm.eval_term(sigma, handle, {"x": a1})
         atoms[(q, 2)] = sig
         entries.append(_entry_eq(f"term=A q={q} m=2", f"sigma(A({q},1))", sig,
                                  sym.basis_a(s, q, 2)))
-        for m in range(3, _BGEN_M_MAX + 1):
-            val = tm.eval_term(tm.nu(m), handle, {"x": a1})
+        for m, nu_term in nus.items():
+            val = tm.eval_term(nu_term, handle, {"x": a1})
             atoms[(q, m)] = val
             entries.append(_entry_eq(f"term=A q={q} m={m}", f"nu_{m}(A({q},1))", val,
                                      sym.basis_a(s, q, m)))
@@ -730,10 +734,11 @@ _SENT_M_MAX = 24
 _SENT_N_MAX = 12
 
 
-def _sent_point(s: SParameter, p: int) -> list[AuditEntry]:
+def _sent_point(
+    s: SParameter, p: int, handle: tm.SymbolicHandle, phi_fm: tm.Formula,
+    taus: dict[int, tm.Formula],
+) -> list[AuditEntry]:
     entries = []
-    handle = tm.SymbolicHandle(s)
-    phi_fm = tm.phi()
     for m in range(1, _SENT_M_MAX + 1):
         atom = sym.basis_a(s, p, m)
         world = "in" if s.in_pattern(m) else "out"
@@ -764,8 +769,7 @@ def _sent_point(s: SParameter, p: int) -> list[AuditEntry]:
         entries.append(_entry_eq(
             f"check=meet-derived p={p} m={m}",
             f"f(A({p},{m})) & g(A({p},{m}))", meet, derived_val))
-    for n in range(3, _SENT_N_MAX + 1):
-        fm = tm.tau(n)
+    for n, fm in taus.items():
         for m in range(1, _SENT_M_MAX + 1):
             got = tm.eval_formula(fm, handle, {"x": sym.basis_a(s, p, m)})
             entries.append(_entry_eq(f"check=tau n={n} p={p} m={m}", f"A({p},{m})", got,
@@ -776,7 +780,10 @@ def _sent_point(s: SParameter, p: int) -> list[AuditEntry]:
 def audit_sent(s: SParameter) -> AuditReport:
     """Exact phi- and tau-truth sets over the atom window, plus the printed
     operator-meet formulas, and the existence of tau witnesses."""
-    entries = [e for p in _SENT_LEVELS for e in _sent_point(s, p)]
+    handle = tm.SymbolicHandle(s)
+    phi_fm = tm.phi()
+    taus = {n: tm.tau(n) for n in range(3, _SENT_N_MAX + 1)}
+    entries = [e for p in _SENT_LEVELS for e in _sent_point(s, p, handle, phi_fm, taus)]
     for n in range(3, _SENT_N_MAX + 1):
         result = tm.exists_tau_witness(s, n, m_bound=_SENT_M_MAX)
         entry = _entry_eq(f"check=exists-tau n={n}", str(result), result.found, s.in_pattern(n))

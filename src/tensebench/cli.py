@@ -127,7 +127,12 @@ def _cmd_eval(args) -> int:
     env = {"x": sym.parse_set(s, args.at)}
     for binding in args.env or ():
         name, _, value = binding.partition("=")
-        env[name.strip()] = sym.parse_set(s, value)
+        name = name.strip()
+        if name in env:
+            raise ValueError(f"--env binds {name!r} again; --at binds x")
+        if not tm._is_name(name):
+            raise ValueError(f"--env name {name!r} is not a variable name")
+        env[name] = sym.parse_set(s, value)
     result = tm.eval_term(term, tm.SymbolicHandle(s), env)
     _echo(args, term=repr(args.term), at=repr(args.at))
     print(sym.display(result))
@@ -252,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--s", required=True)
     p_eval.add_argument("--term", required=True, help="beta | sigma | nu<k> | term syntax")
     p_eval.add_argument("--at", required=True, help="value for x, e.g. 'A(0,1)'")
-    p_eval.add_argument("--env", action="append", help="extra binding name=SET")
+    p_eval.add_argument("--env", action="append",
+                        help="extra binding name=SET, once per name other than x")
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_audit = subs.add_parser("audit", help="replay one claim family against the engine")

@@ -117,8 +117,17 @@ def _row_binary(s: SParameter, a: Row, b: Row, op) -> Row:
     return make_row(s, members, base, op(a.pat_tail, b.pat_tail), op(a.off_tail, b.off_tail))
 
 
+def _finite_row(members: int) -> Row:
+    """The canonical row of a finite index set: start is one above its top
+    index, as make_row finds when no tail is selected."""
+    return Row(members, members.bit_length() or 1, False, False)
+
+
 # Every stored row is canonical, so the identities below return a canonical
-# row without canonicalizing again.
+# row without canonicalizing again.  A result without tails needs no pattern
+# either: the union of two finite rows, and the meet of a finite row with a
+# row that has both tails (all indices from its start on), which as an int
+# mask is its prefix | -(1 << start).
 
 
 def row_union(s, a, b):
@@ -126,6 +135,8 @@ def row_union(s, a, b):
         return a
     if a == EMPTY_ROW or b == FULL_ROW:
         return b
+    if not (a.pat_tail or a.off_tail or b.pat_tail or b.off_tail):
+        return _finite_row(a.prefix | b.prefix)
     return _row_binary(s, a, b, operator.or_)
 
 
@@ -134,6 +145,10 @@ def row_intersect(s, a, b):
         return a
     if a == FULL_ROW or b == EMPTY_ROW:
         return b
+    if a.pat_tail == a.off_tail and b.pat_tail == b.off_tail and not (a.pat_tail and b.pat_tail):
+        a_bits = a.prefix | -(1 << a.start) if a.pat_tail else a.prefix
+        b_bits = b.prefix | -(1 << b.start) if b.pat_tail else b.prefix
+        return _finite_row(a_bits & b_bits)
     return _row_binary(s, a, b, operator.and_)
 
 
@@ -171,7 +186,12 @@ def row_meets_pattern(s: SParameter, r: Row) -> bool:
 
 
 def pattern_row(s: SParameter, start: int = 1) -> Row:
-    return make_row(s, 0, start, True, False)
+    if start != 1:
+        return make_row(s, 0, start, True, False)
+    row = _pattern_row_from_one.get(s)
+    if row is None:
+        row = _pattern_row_from_one[s] = make_row(s, 0, 1, True, False)
+    return row
 
 
 def off_pattern_row(s: SParameter, start: int) -> Row:
@@ -271,6 +291,10 @@ def _check_same_param(x: SymbolicSet, y: SymbolicSet):
 MEMO_CAP = 1024
 _memo_tables: list[dict] = []
 _memo_sparam: list[SParameter | None] = [None]
+# pattern_row(s) from index 1, which apply_f joins in: one row per parameter,
+# kept with the memo tables, so a parameter switch empties it with them
+_pattern_row_from_one: dict[SParameter, Row] = {}
+_memo_tables.append(_pattern_row_from_one)
 
 
 def _memoized(fn):
@@ -309,6 +333,10 @@ def _binary(x: SymbolicSet, y: SymbolicSet, is_union: bool) -> SymbolicSet:
     else:
         below, above = x.below_full and y.below_full, x.above_full and y.above_full
         row_op = row_intersect
+    if x.anchor == y.anchor and len(x.rows) == len(y.rows):
+        # the same levels, and so the same range the general case walks
+        rows = [row_op(s, a, b) for a, b in zip(x.rows, y.rows)]
+        return _make_set(s, below, above, x.anchor, rows)
     # a set that is not constant has its own rows on [anchor, anchor + len(rows))
     x_varies = x.rows or x.below_full != x.above_full
     y_varies = y.rows or y.below_full != y.above_full
@@ -675,12 +703,22 @@ def shift(x: SymbolicSet, delta: int) -> SymbolicSet:
 
 
 def window_mask(x: SymbolicSet, spec: TruncationSpec) -> int:
-    """Members inside the window as a mask: bit i for ``spec.vertices()[i]``."""
-    width = spec.index_max
-    pat = x.sparam.pattern_mask(width + 1)
-    out = 0
-    for p in range(spec.level_hi, spec.level_lo - 1, -1):
-        out = out << width | _row_bits(x.row_at(p), pat, width + 1) >> 1
+    """Members inside the window as a mask: bit i for ``spec.vertices()[i]``.
+
+    Level p holds the ``index_max`` bits from (p - level_lo) * index_max.
+    The window's levels below the rows are all full or all empty, and so are
+    those past the rows, so each of the two runs is one block of bits; only
+    the rows inside the window are read index by index."""
+    width, lo, end = spec.index_max, spec.level_lo, spec.level_hi + 1
+    rows_lo = min(max(x.anchor, lo), end)
+    rows_end = max(min(x.anchor + len(x.rows), end), rows_lo)
+    out = (1 << (rows_lo - lo) * width) - 1 if x.below_full else 0
+    if x.above_full:
+        out |= ((1 << (end - rows_end) * width) - 1) << (rows_end - lo) * width
+    if rows_end > rows_lo:
+        pat = x.sparam.pattern_mask(width + 1)
+        for p in range(rows_lo, rows_end):
+            out |= _row_bits(x.rows[p - x.anchor], pat, width + 1) >> 1 << (p - lo) * width
     return out
 
 

@@ -1,12 +1,14 @@
 """The audit reports: expected outcomes, determinism, allowlist behaviour,
 and self-certification of recorded counterexamples."""
 
+import hashlib
 import inspect
 
 import pytest
 
 from tensebench import audit as au
 from tensebench import symbolic as sym
+from tensebench import terms as tm
 from tensebench.cli import main
 from tensebench.parallel import parallel_map
 from tensebench.sparam import parse_sparam
@@ -205,6 +207,36 @@ class TestSent:
         serial, pooled = records(1), records(2)
         assert first == second == serial[0][0] == pooled[0][0]
         assert serial == pooled
+
+
+class TestTermsBuiltOnce:
+    # (tm.nu calls, tm.tau calls) of one lemma call, and the sha256 of its
+    # records on {3}.  tau(n) builds nu(n), and exists_tau_witness builds
+    # tau(n) for itself, so sent counts 10 taus of its own and 10 more.
+    CALLS = {
+        "steps": ((22, 0), "2fca17c178725b95ca3cfdbedc0eb6a95b2dfb921396187bfce1bf31fcb25fe3"),
+        "bgen": ((6, 0), "c361ac3fffcc363416c0cac8d391f364c973d91f9a89f0e84275051037ed895d"),
+        "sent": ((20, 20), "5eca4de763510a2a4c548e5e14630edc9734405a2d2e59edc563621603cd678d"),
+    }
+
+    @pytest.mark.parametrize("lemma", sorted(CALLS))
+    def test_each_term_is_built_once_per_call(self, monkeypatch, lemma):
+        counts = {"nu": 0, "tau": 0}
+
+        def counted(name):
+            build = getattr(tm, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(tm, name, counted(name))
+        report = au.AUDITS[lemma](parse_sparam("{3}"))
+        (nus, taus), digest = self.CALLS[lemma]
+        assert (counts["nu"], counts["tau"]) == (nus, taus)
+        assert hashlib.sha256(report.to_records().encode()).hexdigest() == digest
 
 
 class TestCross:

@@ -351,6 +351,9 @@ class TestUsageErrors:
         ("eval", "--s", "empty", "--term", "x & )", "--at", "A(0,1)", "--env", ")=A(0,2)"),
         ("eval", "--s", "empty", "--term", "x | =", "--at", "A(0,1)", "--env", "==A(0,2)"),
         ("eval", "--s", "empty", "--term", "x | .", "--at", "A(0,1)", "--env", ".=A(0,2)"),
+        # --at binds x, and no term can name 1y
+        ("eval", "--s", "empty", "--term", "x", "--at", "A(0,1)", "--env", "x=A(0,3)"),
+        ("eval", "--s", "empty", "--term", "x", "--at", "A(0,1)", "--env", "1y=A(0,3)"),
         ("frame", "check", "--in", "missing.txt"),
         ("frame", "build", "--s", "{3}", "--imax", "8", "--out", "missing/f.txt"),
         ("frame", "dot", "--s", "{3}", "--imax", "8", "--out", "missing/f.txt"),

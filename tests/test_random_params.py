@@ -12,6 +12,7 @@ import random
 import pytest
 
 from conftest import random_element, raw_basis_member
+from tensebench import audit as au
 from tensebench import symbolic as sym
 from tensebench import terms as tm
 from tensebench.frames import VertexId
@@ -75,27 +76,59 @@ def _raw_row(s, r, top):
     return {n for n in range(1, top) if sym.row_contains(s, r, n)}
 
 
+def _row_kind(r):
+    if r.pat_tail and r.off_tail:
+        return "both tails"
+    return "finite" if not (r.pat_tail or r.off_tail) else "one tail"
+
+
 def test_row_shortcuts_match_raw_operations(s):
     # row_union and row_intersect answer the identities with EMPTY_ROW,
-    # FULL_ROW and equal operands without canonicalizing; every result must
+    # FULL_ROW and equal operands, and the finite results of finite rows
+    # and rows with both tails, without canonicalizing; every result must
     # still be the canonical row _row_binary builds
+    def canonical(row):
+        return sym.validate_canonical(sym._make_set(s, False, False, 0, [row]))
+
     rng = random.Random(f"{SEED} rows {s}")
     rows = {sym.EMPTY_ROW, sym.FULL_ROW}
     for _ in range(6):
         x, _ = random_element(rng, s, max_index=s.stable_from + 4)
         rows.update(x.rows)
-    rows = sorted(rows)
     top = s.stable_from + 8
+    # rows of the two plain kinds, so that every pairing of them is drawn
+    for _ in range(8):
+        members = rng.getrandbits(top) & ~1
+        rows.add(sym.make_row(s, members, 1, False, False))
+        rows.add(sym.make_row(s, members, rng.randrange(1, top), True, True))
+    rows = sorted(rows)
     every = set(range(1, top))
     raw = {r: _raw_row(s, r, top) for r in rows}
+    pairs = {}
     for a in rows:
         assert _raw_row(s, sym.row_complement(s, a), top) == every - raw[a]
         for b in rows:
+            kinds = (_row_kind(a), _row_kind(b))
+            pairs[kinds] = pairs.get(kinds, 0) + 1
             union, meet = sym.row_union(s, a, b), sym.row_intersect(s, a, b)
             assert _raw_row(s, union, top) == raw[a] | raw[b], (a, b)
             assert _raw_row(s, meet, top) == raw[a] & raw[b], (a, b)
             assert union == sym._row_binary(s, a, b, operator.or_), (a, b)
             assert meet == sym._row_binary(s, a, b, operator.and_), (a, b)
+            assert canonical(union) and canonical(meet), (a, b)
+    for kinds in (("finite", "finite"), ("finite", "both tails"), ("both tails", "finite")):
+        assert pairs[kinds] >= 50, kinds
+
+
+def test_pattern_row_from_one_follows_the_parameter(s):
+    # apply_f reads pattern_row(s) from a table that a parameter switch
+    # empties with the operator memo
+    t = PARAMS[1] if s == PARAMS[0] else PARAMS[0]
+    for now in (t, s, t, s):
+        sym.apply_f(sym.basis_a(now, 0, 1))
+        assert list(sym._pattern_row_from_one) == [now]
+        assert sym.pattern_row(now) == sym.make_row(now, 0, 1, True, False)
+        assert sym.pattern_row(now, 3) == sym.make_row(now, 0, 3, True, False)
 
 
 def test_rows_built_directly_equal_the_make_row_construction(s):
@@ -151,6 +184,50 @@ def test_basis_helpers_equal_the_make_row_construction(s):
             assert got == old(kind, *args), (kind, args)
             assert got == sym.basis(s, sym.BasisSet(kind, *args)), (kind, args)
             assert sym.validate_canonical(got)
+
+
+def _window_mask_loop(x, spec):
+    """The per-level construction window_mask had before it read the levels
+    below and past the rows as two blocks."""
+    width = spec.index_max
+    pat = x.sparam.pattern_mask(width + 1)
+    out = 0
+    for p in range(spec.level_hi, spec.level_lo - 1, -1):
+        out = out << width | sym._row_bits(x.row_at(p), pat, width + 1) >> 1
+    return out
+
+
+WINDOWS = (au.ORACLE_WINDOW, au.ORACLE_WINDOW.shrink(1), au.ORACLE_WINDOW.shrink(2))
+
+
+def test_window_mask_equals_the_per_level_loop(s):
+    rng = random.Random(f"{SEED} window {s}")
+    sets = [random_element(rng, s, max_index=s.stable_from + 4)[0] for _ in range(8)]
+    # rows wholly below, across the lower edge, inside, across the upper
+    # edge, wholly above and across the whole of each window, under every
+    # pair of constant behaviours outside them
+    rows = (sym.INDEX_ONE_ROW, sym.pattern_row(s, 3), sym.basis_a(s, 0, 5).rows[0])
+    for spec in WINDOWS:
+        lo, hi = spec.level_lo, spec.level_hi
+        for anchor in (lo - 5, lo - 3, lo - 2, lo - 1, lo, 0, hi - 1, hi, hi + 1, hi + 3):
+            for length in (0, 1, 3):
+                for below_full in (False, True):
+                    for above_full in (False, True):
+                        sets.append(sym.SymbolicSet(
+                            s, below_full, above_full, anchor, rows[:length]))
+        sets.append(sym.SymbolicSet(s, True, True, lo - 2, rows * (hi - lo + 2)))
+    for x in sets:
+        for spec in WINDOWS:
+            assert sym.window_mask(x, spec) == _window_mask_loop(x, spec), (x, spec)
+
+
+def test_single_operations_agree_with_the_oracle(s):
+    # the rule path against the truncation, through the audit's comparison
+    rng = random.Random(f"{SEED} oracle {s}")
+    for _ in range(10):
+        x, parts = random_element(rng, s, max_index=s.stable_from + 4)
+        assert au._oracle_agrees(s, x, sym.apply_f(x), "f"), parts
+        assert au._oracle_agrees(s, x, sym.apply_g(x), "g"), parts
 
 
 def test_rule_path_equals_clause_table(s):
