@@ -1,4 +1,5 @@
-"""The row layer on seeded random parameters.
+"""The row layer, window masks and the operators against the oracle, on
+seeded random parameters.
 
 The default family stops at bound 7; these parameters reach bound 41, the
 default ``--n-bound`` of ``tw distinguish``, with both tails and with
@@ -124,7 +125,8 @@ def test_pattern_row_from_one_follows_the_parameter(s):
     # apply_f reads pattern_row(s) from a table that a parameter switch
     # empties with the operator memo
     t = PARAMS[1] if s == PARAMS[0] else PARAMS[0]
-    for now in (t, s, t, s):
+    sym.apply_f(sym.basis_a(t, 0, 1))
+    for now in (s, t, s):  # each call switches the memo to another parameter
         sym.apply_f(sym.basis_a(now, 0, 1))
         assert list(sym._pattern_row_from_one) == [now]
         assert sym.pattern_row(now) == sym.make_row(now, 0, 1, True, False)
