@@ -128,8 +128,10 @@ def _cmd_eval(args) -> int:
     for binding in args.env or ():
         name, _, value = binding.partition("=")
         name = name.strip()
+        if name == "x":
+            raise ValueError("--env cannot bind x; --at binds it")
         if name in env:
-            raise ValueError(f"--env binds {name!r} again; --at binds x")
+            raise ValueError(f"--env binds {name!r} twice")
         if not tm._is_name(name):
             raise ValueError(f"--env name {name!r} is not a variable name")
         env[name] = sym.parse_set(s, value)

@@ -117,17 +117,8 @@ def _row_binary(s: SParameter, a: Row, b: Row, op) -> Row:
     return make_row(s, members, base, op(a.pat_tail, b.pat_tail), op(a.off_tail, b.off_tail))
 
 
-def _finite_row(members: int) -> Row:
-    """The canonical row of a finite index set: start is one above its top
-    index, as make_row finds when no tail is selected."""
-    return Row(members, members.bit_length() or 1, False, False)
-
-
 # Every stored row is canonical, so the identities below return a canonical
-# row without canonicalizing again.  A result without tails needs no pattern
-# either: the union of two finite rows, and the meet of a finite row with a
-# row that has both tails (all indices from its start on), which as an int
-# mask is its prefix | -(1 << start).
+# row without canonicalizing again.
 
 
 def row_union(s, a, b):
@@ -135,8 +126,6 @@ def row_union(s, a, b):
         return a
     if a == EMPTY_ROW or b == FULL_ROW:
         return b
-    if not (a.pat_tail or a.off_tail or b.pat_tail or b.off_tail):
-        return _finite_row(a.prefix | b.prefix)
     return _row_binary(s, a, b, operator.or_)
 
 
@@ -145,10 +134,6 @@ def row_intersect(s, a, b):
         return a
     if a == FULL_ROW or b == EMPTY_ROW:
         return b
-    if a.pat_tail == a.off_tail and b.pat_tail == b.off_tail and not (a.pat_tail and b.pat_tail):
-        a_bits = a.prefix | -(1 << a.start) if a.pat_tail else a.prefix
-        b_bits = b.prefix | -(1 << b.start) if b.pat_tail else b.prefix
-        return _finite_row(a_bits & b_bits)
     return _row_binary(s, a, b, operator.and_)
 
 
@@ -186,12 +171,7 @@ def row_meets_pattern(s: SParameter, r: Row) -> bool:
 
 
 def pattern_row(s: SParameter, start: int = 1) -> Row:
-    if start != 1:
-        return make_row(s, 0, start, True, False)
-    row = _pattern_row_from_one.get(s)
-    if row is None:
-        row = _pattern_row_from_one[s] = make_row(s, 0, 1, True, False)
-    return row
+    return make_row(s, 0, start, True, False)
 
 
 def off_pattern_row(s: SParameter, start: int) -> Row:
@@ -291,10 +271,6 @@ def _check_same_param(x: SymbolicSet, y: SymbolicSet):
 MEMO_CAP = 1024
 _memo_tables: list[dict] = []
 _memo_sparam: list[SParameter | None] = [None]
-# pattern_row(s) from index 1, which apply_f joins in: one row per parameter,
-# kept with the memo tables, so a parameter switch empties it with them
-_pattern_row_from_one: dict[SParameter, Row] = {}
-_memo_tables.append(_pattern_row_from_one)
 
 
 def _memoized(fn):
@@ -333,10 +309,6 @@ def _binary(x: SymbolicSet, y: SymbolicSet, is_union: bool) -> SymbolicSet:
     else:
         below, above = x.below_full and y.below_full, x.above_full and y.above_full
         row_op = row_intersect
-    if x.anchor == y.anchor and len(x.rows) == len(y.rows):
-        # the same levels, and so the same range the general case walks
-        rows = [row_op(s, a, b) for a, b in zip(x.rows, y.rows)]
-        return _make_set(s, below, above, x.anchor, rows)
     # a set that is not constant has its own rows on [anchor, anchor + len(rows))
     x_varies = x.rows or x.below_full != x.above_full
     y_varies = y.rows or y.below_full != y.above_full

@@ -351,8 +351,10 @@ class TestUsageErrors:
         ("eval", "--s", "empty", "--term", "x & )", "--at", "A(0,1)", "--env", ")=A(0,2)"),
         ("eval", "--s", "empty", "--term", "x | =", "--at", "A(0,1)", "--env", "==A(0,2)"),
         ("eval", "--s", "empty", "--term", "x | .", "--at", "A(0,1)", "--env", ".=A(0,2)"),
-        # --at binds x, and no term can name 1y
+        # --at binds x, a name is bound at most once, and no term can name 1y
         ("eval", "--s", "empty", "--term", "x", "--at", "A(0,1)", "--env", "x=A(0,3)"),
+        ("eval", "--s", "empty", "--term", "x | y", "--at", "A(0,1)",
+         "--env", "y=A(0,2)", "--env", "y=A(0,3)"),
         ("eval", "--s", "empty", "--term", "x", "--at", "A(0,1)", "--env", "1y=A(0,3)"),
         ("frame", "check", "--in", "missing.txt"),
         ("frame", "build", "--s", "{3}", "--imax", "8", "--out", "missing/f.txt"),
@@ -366,6 +368,19 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("envs, message", [
+        (("x=A(0,3)",), "error: --env cannot bind x; --at binds it"),
+        (("y=A(0,2)", "y=A(0,3)"), "error: --env binds 'y' twice"),
+        (("1y=A(0,3)",), "error: --env name '1y' is not a variable name"),
+    ])
+    def test_rejected_env_names_its_cause(self, capsys, envs, message):
+        argv = ["eval", "--s", "empty", "--term", "x", "--at", "A(0,1)"]
+        for binding in envs:
+            argv += ["--env", binding]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.strip() == message
 
     def test_bad_sparam(self, capsys):
         code, _, err = run(capsys, "eval", "--s", "{4}", "--term", "sigma",
