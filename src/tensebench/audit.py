@@ -570,29 +570,26 @@ def audit_steps(s: SParameter) -> AuditReport:
     """sigma on index-1 atoms, and both readings of the step-term claim."""
     entries = []
     handle = tm.SymbolicHandle(s)
-    # each term is built, and so compiled, once for all levels
-    sigma = tm.sigma()
-    nus = {n: tm.nu(n) for n in range(3, _STEPS_N_MAX + 1)}
+    # one program for sigma and every nu_n, run once per binding
+    ns = range(3, _STEPS_N_MAX + 1)
+    batch = tm.compile_program([tm.sigma()] + tm.nu_steps(_STEPS_N_MAX))
     for p in _STEPS_LEVELS:
         a1 = sym.basis_a(s, p, 1)
-        got = tm.eval_term(sigma, handle, {"x": a1})
-        entries.append(_entry_eq(f"term=sigma p={p}", f"sigma(A({p},1))", got,
+        sig_val, *direct = tm.run(batch, handle, {"x": a1})
+        _, *composed = tm.run(batch, handle, {"x": sig_val})
+        entries.append(_entry_eq(f"term=sigma p={p}", f"sigma(A({p},1))", sig_val,
                                  sym.basis_a(s, p, 2)))
-        sig_val = got
-        for n, nu_term in nus.items():
-            direct = tm.eval_term(nu_term, handle, {"x": a1})
+        for n, at_a1, at_sigma in zip(ns, direct, composed):
             entries.append(_entry_eq(
                 f"term=nu n={n} p={p} reading=proof", f"nu_{n}(A({p},1))",
-                direct, sym.basis_a(s, p, n)))
-            composed = tm.eval_term(nu_term, handle, {"x": sig_val})
+                at_a1, sym.basis_a(s, p, n)))
             entries.append(_entry_eq(
                 f"term=nu n={n} p={p} reading=statement", f"nu_{n}(sigma(A({p},1)))",
-                composed, sym.basis_a(s, p, n)))
+                at_sigma, sym.basis_a(s, p, n)))
         # the printed proof line ends at index 3 instead of 4
-        nu4 = tm.eval_term(nus[4], handle, {"x": a1})
         entries.append(_entry_eq(
             f"term=nu n=4 p={p} reading=proof-line-nu4", f"nu_4(A({p},1))",
-            nu4, sym.basis_a(s, p, 3)))
+            direct[ns.index(4)], sym.basis_a(s, p, 3)))
     grid = f"p in {_span(_STEPS_LEVELS)}, 3 <= n <= {_STEPS_N_MAX}"
     return _finish("steps", s, grid, entries)
 
@@ -640,23 +637,18 @@ def audit_bgen(s: SParameter) -> AuditReport:
         entries.append(_entry_eq(f"term=D q={q}", f"f^2(V({q - 1}))", ds[q], sym.basis_d(s, q)))
         entries.append(_entry_eq(f"term=U q={q}", f"g^2(V({q + 1}))", us[q], sym.basis_u(s, q)))
     atoms: dict[tuple[int, int], SymbolicSet] = {}
-    sigma = tm.sigma()
-    nus = {m: tm.nu(m) for m in range(3, _BGEN_M_MAX + 1)}
+    # one program for sigma and nu_3..nu_8, run once per level
+    batch = tm.compile_program([tm.sigma()] + tm.nu_steps(_BGEN_M_MAX))
     for q in _BGEN_LEVELS:
         uq1 = us[q + 1] if q + 1 in us else sym.basis_u(s, q + 1)
         a1 = inter(g(uq1), comp(uq1))
         atoms[(q, 1)] = a1
         entries.append(_entry_eq(f"term=A1 q={q}", f"g(U({q + 1})) & ~U({q + 1})",
                                  a1, sym.basis_a(s, q, 1)))
-        sig = tm.eval_term(sigma, handle, {"x": a1})
-        atoms[(q, 2)] = sig
-        entries.append(_entry_eq(f"term=A q={q} m=2", f"sigma(A({q},1))", sig,
-                                 sym.basis_a(s, q, 2)))
-        for m, nu_term in nus.items():
-            val = tm.eval_term(nu_term, handle, {"x": a1})
+        for m, val in enumerate(tm.run(batch, handle, {"x": a1}), start=2):
             atoms[(q, m)] = val
-            entries.append(_entry_eq(f"term=A q={q} m={m}", f"nu_{m}(A({q},1))", val,
-                                     sym.basis_a(s, q, m)))
+            shown = f"sigma(A({q},1))" if m == 2 else f"nu_{m}(A({q},1))"
+            entries.append(_entry_eq(f"term=A q={q} m={m}", shown, val, sym.basis_a(s, q, m)))
     # the printed index-1 extraction names one level for all of them
     entries.append(_entry_eq(
         "term=A1-printed q=1", "g(U(2)) & ~U(2) vs A(0,1)",
@@ -735,14 +727,15 @@ _SENT_N_MAX = 12
 
 
 def _sent_point(
-    s: SParameter, p: int, handle: tm.SymbolicHandle, phi_fm: tm.Formula,
-    taus: dict[int, tm.Formula],
+    s: SParameter, p: int, handle: tm.SymbolicHandle, batch: tm.Program
 ) -> list[AuditEntry]:
     entries = []
+    tau_truths = []  # per m, the truth of tau_3..tau_12 at A(p,m)
     for m in range(1, _SENT_M_MAX + 1):
         atom = sym.basis_a(s, p, m)
         world = "in" if s.in_pattern(m) else "out"
-        got = tm.eval_formula(phi_fm, handle, {"x": atom})
+        got, *taus = tm.run(batch, handle, {"x": atom})
+        tau_truths.append(taus)
         entries.append(_entry_eq(f"check=phi-printed p={p} m={m} pattern={world}",
                                  f"A({p},{m})", got, m == 1))
         entries.append(_entry_eq(f"check=phi-derived p={p} m={m}",
@@ -769,10 +762,9 @@ def _sent_point(
         entries.append(_entry_eq(
             f"check=meet-derived p={p} m={m}",
             f"f(A({p},{m})) & g(A({p},{m}))", meet, derived_val))
-    for n, fm in taus.items():
-        for m in range(1, _SENT_M_MAX + 1):
-            got = tm.eval_formula(fm, handle, {"x": sym.basis_a(s, p, m)})
-            entries.append(_entry_eq(f"check=tau n={n} p={p} m={m}", f"A({p},{m})", got,
+    for k, n in enumerate(range(3, _SENT_N_MAX + 1)):
+        for m, taus in enumerate(tau_truths, start=1):
+            entries.append(_entry_eq(f"check=tau n={n} p={p} m={m}", f"A({p},{m})", taus[k],
                                      s.in_pattern(n) and m == 1))
     return entries
 
@@ -781,9 +773,9 @@ def audit_sent(s: SParameter) -> AuditReport:
     """Exact phi- and tau-truth sets over the atom window, plus the printed
     operator-meet formulas, and the existence of tau witnesses."""
     handle = tm.SymbolicHandle(s)
-    phi_fm = tm.phi()
-    taus = {n: tm.tau(n) for n in range(3, _SENT_N_MAX + 1)}
-    entries = [e for p in _SENT_LEVELS for e in _sent_point(s, p, handle, phi_fm, taus)]
+    # one program for phi and every tau_n, run once per atom
+    batch = tm.compile_program([tm.phi()] + tm.tau_steps(_SENT_N_MAX))
+    entries = [e for p in _SENT_LEVELS for e in _sent_point(s, p, handle, batch)]
     for n in range(3, _SENT_N_MAX + 1):
         result = tm.exists_tau_witness(s, n, m_bound=_SENT_M_MAX)
         entry = _entry_eq(f"check=exists-tau n={n}", str(result), result.found, s.in_pattern(n))

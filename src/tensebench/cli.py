@@ -142,6 +142,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.seed is None:
+        args.seed = au.DEFAULT_SEED
+    elif args.lemma not in au._SEEDED + ("all",):
+        raise ValueError(f"--seed has no effect on {args.lemma}, which draws no samples")
     lemmas = tuple(au.AUDITS) if args.lemma == "all" else (args.lemma,)
     items = [(s, lemmas, args.seed) for _, s in _family(args)]
     _echo(args, lemma=args.lemma, params=args.s or "default-family")
@@ -234,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=False, jobs=False):
         p.add_argument("--format", choices=("text", "records"), default="text")
         if seed:
-            p.add_argument("--seed", type=int, default=au.DEFAULT_SEED)
+            p.add_argument("--seed", type=int,
+                           help=f"sample seed of {', '.join(au._SEEDED)} and all "
+                                f"(default: {au.DEFAULT_SEED})")
         if jobs:
             p.add_argument("--jobs", type=_jobs_count, default=1)
 

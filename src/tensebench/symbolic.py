@@ -170,15 +170,6 @@ def row_meets_pattern(s: SParameter, r: Row) -> bool:
     return r.pat_tail or bool(r.prefix & s.pattern_mask(r.start))
 
 
-def pattern_row(s: SParameter, start: int = 1) -> Row:
-    return make_row(s, 0, start, True, False)
-
-
-def off_pattern_row(s: SParameter, start: int) -> Row:
-    """Off-pattern indices >= max(start, 2); may canonicalize to empty."""
-    return make_row(s, 0, max(start, 2), False, True)
-
-
 def tail_row(s: SParameter, start: int) -> Row:
     """All indices >= start; canonical as built, as index start - 1 is out."""
     return Row(0, max(start, 1), True, True)
@@ -260,7 +251,9 @@ def _check_same_param(x: SymbolicSet, y: SymbolicSet):
 
 
 # union, intersect, complement, apply_f and apply_g are memoized on their
-# arguments: canonical forms make structural equality a sound key.  A key
+# arguments: canonical forms make structural equality a sound key.  So are
+# the basis rows (pattern_row, off_pattern_row) and the clause images
+# (_clause_f, _clause_g), which take the parameter itself first.  A key
 # hashes its sets in C, as sets and rows are NamedTuples; a set's hash takes
 # in its parameter's hash, which the parameter computes once.  The tables
 # hold results for the parameter of the latest call only.  The cap was set
@@ -275,14 +268,17 @@ _memo_sparam: list[SParameter | None] = [None]
 
 def _memoized(fn):
     """fn with its own table (``.cache``), emptied with all others when a
-    call's parameter differs from the cached one and on its own when it
-    reaches MEMO_CAP; the uncached fn is ``__wrapped__``."""
+    call's parameter (its first argument, or that argument's ``sparam``)
+    differs from the cached one and on its own when it reaches MEMO_CAP;
+    the uncached fn is ``__wrapped__``."""
     table: dict = {}
     _memo_tables.append(table)
 
     @functools.wraps(fn)
     def memo(*args):
-        s = args[0].sparam
+        s = args[0]
+        if s.__class__ is not SParameter:
+            s = s.sparam
         if s is not _memo_sparam[0]:
             if s != _memo_sparam[0]:
                 for other in _memo_tables:
@@ -339,6 +335,17 @@ def complement(x: SymbolicSet) -> SymbolicSet:
     s = x.sparam
     rows = [row_complement(s, r) for r in x.rows]
     return _make_set(s, not x.below_full, not x.above_full, x.anchor, rows)
+
+
+@_memoized
+def pattern_row(s: SParameter, start: int = 1) -> Row:
+    return make_row(s, 0, start, True, False)
+
+
+@_memoized
+def off_pattern_row(s: SParameter, start: int) -> Row:
+    """Off-pattern indices >= max(start, 2); may canonicalize to empty."""
+    return make_row(s, 0, max(start, 2), False, True)
 
 
 def union_all(s: SParameter, parts) -> SymbolicSet:
@@ -532,6 +539,11 @@ def decompose_to_basis(x: SymbolicSet) -> tuple[BasisSet, ...]:
     return tuple(sorted(parts, key=_basis_sort_key))
 
 
+# The clause images are memoized per basis set: the table path stays its own
+# code, independent of the rule path, and keeps only its own results.
+
+
+@_memoized
 def _clause_f(s: SParameter, b: BasisSet) -> SymbolicSet:
     p, m = b.level, b.index
     if b.kind == "A":
@@ -556,6 +568,7 @@ def _clause_f(s: SParameter, b: BasisSet) -> SymbolicSet:
     return union_all(s, parts + [basis_d(s, p - 1)])
 
 
+@_memoized
 def _clause_g(s: SParameter, b: BasisSet) -> SymbolicSet:
     p, m = b.level, b.index
     if b.kind == "A":

@@ -1,6 +1,10 @@
 """Term and formula ASTs, evaluation over finite or symbolic carriers, the
 derived step terms, and the first-order separation procedure.
 
+Terms and formulas have one evaluator: a batch of them compiles into one
+straight-line program (``compile_program``) that ``run`` executes under a
+binding of the free names.
+
 Terms are over the operator signature (join, meet, complement, f, g, 0, 1).
 Formulas add equations and quantifiers; quantifiers relativized to atoms are
 the only quantifier semantics available on the symbolic carrier, where they
@@ -12,8 +16,10 @@ quantifiers evaluate by enumeration on finite carriers only.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from . import symbolic as sym
 from .frames import FiniteTenseAlgebra
@@ -30,13 +36,19 @@ class UnsupportedQueryError(Exception):
 # term ASTs
 
 
-@dataclass(frozen=True)
-class Term:
+class _Node:
+    """A term or formula node."""
+
     @functools.cached_property
-    def _program(self) -> tuple[tuple, ...]:
-        """The term as straight-line steps, compiled on first use and kept
+    def _program(self) -> Program:
+        """The node as a one-root program, compiled on first use and kept
         on the node (not a field, so ``==`` and ``hash`` ignore it)."""
-        return _compile(self)
+        return compile_program((self,))
+
+
+@dataclass(frozen=True)
+class Term(_Node):
+    pass
 
 
 @dataclass(frozen=True)
@@ -86,14 +98,14 @@ ONE = One()
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    return frozenset(a for kind, a, _ in t._program if kind is Var)
+    return frozenset(a for kind, a, _ in t._program.terms if kind is Var)
 
 
 def modal_depth(t: Term) -> int:
     """Maximal nesting of f/g along any path; bounds how far one evaluation
     can look in the frame, hence the oracle comparison margin."""
     depths: list[int] = []
-    for kind, a, b in t._program:
+    for kind, a, b in t._program.terms:
         if kind in (Var, Zero, One):
             depths.append(0)
         elif kind in (Join, Meet):
@@ -130,17 +142,23 @@ def sigma(var: str = "x") -> Term:
 
 
 def nu(n: int, var: str = "x") -> Term:
-    """The step terms: nu_3 = f(sigma(x)) & ~f(x), then the two-back recurrence
-    nu_k = f(nu_{k-1}) & ~f(nu_{k-2}).  Step k reuses the f(nu_{k-2}) node
-    that step k-1 built, so each step adds one f node."""
+    """The n-th step term; see ``nu_steps``."""
     if n < 3:
         raise ValueError("nu is defined for n >= 3")
+    return nu_steps(n, var)[-1]
+
+
+def nu_steps(n_max: int, var: str = "x") -> list[Term]:
+    """The step terms nu_3, ..., nu_{n_max}: nu_3 = f(sigma(x)) & ~f(x), then
+    the two-back recurrence nu_k = f(nu_{k-1}) & ~f(nu_{k-2}).  Step k
+    reuses the f(nu_{k-2}) node that step k-1 built, so each step adds one
+    f node, and each step is a node of the next."""
     f_prev, f_last = Fop(Var(var)), Fop(sigma(var))
-    step = Meet(f_last, Not(f_prev))  # nu_3
-    for _ in range(4, n + 1):
-        f_prev, f_last = f_last, Fop(step)
-        step = Meet(f_last, Not(f_prev))
-    return step
+    steps = [Meet(f_last, Not(f_prev))]  # nu_3
+    for _ in range(4, n_max + 1):
+        f_prev, f_last = f_last, Fop(steps[-1])
+        steps.append(Meet(f_last, Not(f_prev)))
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +206,17 @@ class FiniteHandle:
     def elements(self):
         return self.alg.elements()
 
+    def quantify(self, kind, names, subject, body) -> bool:
+        """Enumerate the atoms, or every element, for each name in turn
+        (the first name varies slowest); ``body(values)`` is the body's
+        truth with the names bound to ``values``."""
+        domain = self.atoms() if kind in (ExistsAtoms, ForallAtoms) else self.elements()
+        existential = kind in (ExistsAtoms, Exists)
+        for values in itertools.product(domain, repeat=len(names)):
+            if bool(body(values)) == existential:
+                return existential
+        return not existential
+
 
 class SymbolicHandle:
     """Uniform operations over the generated subalgebra for one parameter."""
@@ -220,75 +249,25 @@ class SymbolicHandle:
     def elements(self):
         raise UnsupportedQueryError("cannot enumerate an infinite carrier")
 
-
-def _compile(t: Term) -> tuple[tuple, ...]:
-    """Steps ``(type, a, b)`` in dependency order, one per distinct
-    operation: ``a`` and ``b`` index earlier steps, or ``a`` is a Var's name.
-    Nodes that are equal as terms, such as two ``Var("x")`` objects or the
-    ``f`` steps above them, share one step.
-
-    The walk keeps its own stack, so a term's depth is bounded by memory,
-    not by Python's recursion limit.  A node is visited twice: first to
-    stack its children (left on top), then, with their slots known, to
-    emit its step; the order is that of a recursive post-order walk."""
-    steps: list[tuple] = []
-    slot_of_step: dict[tuple, int] = {}
-    slots: dict[int, int] = {}  # id(node) -> the slot of its step
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in slots:
-            continue
-        kind = type(node)
-        if kind is Var:
-            step = (Var, node.name, None)
-        elif kind in (Zero, One):
-            step = (kind, None, None)
-        elif kind in (Join, Meet):
-            if not ready:
-                stack += [(node, True), (node.right, False), (node.left, False)]
-                continue
-            step = (kind, slots[id(node.left)], slots[id(node.right)])
-        elif kind in (Not, Fop, Gop):
-            if not ready:
-                stack += [(node, True), (node.arg, False)]
-                continue
-            step = (kind, slots[id(node.arg)], None)
-        else:
-            raise TypeError(f"unknown term node {node!r}")
-        slot = slot_of_step.get(step)
-        if slot is None:
-            slot = slot_of_step[step] = len(steps)
-            steps.append(step)
-        slots[id(node)] = slot
-    return tuple(steps)
-
-
-def eval_term(t: Term, handle, env: dict):
-    """Run the term's compiled program: every distinct operation once."""
-    f, g, neg, meet, join = handle.f, handle.g, handle.neg, handle.meet, handle.join
-    values: list = []
-    push = values.append
-    for kind, a, b in t._program:
-        if kind is Fop:
-            push(f(values[a]))
-        elif kind is Meet:
-            push(meet(values[a], values[b]))
-        elif kind is Not:
-            push(neg(values[a]))
-        elif kind is Gop:
-            push(g(values[a]))
-        elif kind is Join:
-            push(join(values[a], values[b]))
-        elif kind is Var:
-            if a not in env:
-                raise ValueError(f"unbound variable {a!r}")
-            push(env[a])
-        elif kind is Zero:
-            push(handle.zero())
-        else:
-            push(handle.one())
-    return values[-1]
+    def quantify(self, kind, names, subject, body) -> bool:
+        """Decide an atom-relativized shape through the cardinality
+        classifier: ``subject()`` is the value of its subject t, or
+        ``subject`` is None when the body has neither shape."""
+        if kind is ExistsAtoms:
+            if subject is None:
+                raise UnsupportedQueryError(
+                    "existential over atoms is only decidable for join-of-atoms equations"
+                )
+            count = self.card(subject())
+            return count is not None and 1 <= count <= len(names)
+        if kind is ForallAtoms:
+            if subject is None:
+                raise UnsupportedQueryError(
+                    "universal over atoms is only decidable for the atomhood shape"
+                )
+            count = self.card(subject())
+            return count is not None and count <= 1
+        raise UnsupportedQueryError("unrestricted quantifier on an infinite carrier")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +275,7 @@ def eval_term(t: Term, handle, env: dict):
 
 
 @dataclass(frozen=True)
-class Formula:
+class Formula(_Node):
     pass
 
 
@@ -389,12 +368,271 @@ def phi(var: str = "x") -> Formula:
 
 def tau(n: int, var: str = "x") -> Formula:
     """phi(x) and the n-th step of x meets f(g^2(x) & ~g(x))."""
+    return And(phi(var), Neq(Meet(nu(n, var), _probe(var)), ZERO))
+
+
+def tau_steps(n_max: int, var: str = "x") -> list[Formula]:
+    """tau_3, ..., tau_{n_max}, built on one phi, one probe and one run of
+    ``nu_steps``."""
+    head, probe = phi(var), _probe(var)
+    return [And(head, Neq(Meet(step, probe), ZERO)) for step in nu_steps(n_max, var)]
+
+
+def _probe(var: str) -> Term:
+    """f(g^2(x) & ~g(x))"""
     x = Var(var)
-    probe = Fop(Meet(Gop(Gop(x)), Not(Gop(x))))
-    return And(phi(var), Neq(Meet(nu(n, var), probe), ZERO))
+    return Fop(Meet(Gop(Gop(x)), Not(Gop(x))))
 
 
-# --- evaluation ---
+# ---------------------------------------------------------------------------
+# compiled programs
+
+
+_QUANTIFIERS = (ExistsAtoms, ForallAtoms, Exists, Forall)
+# the node types of each kind, and the kind of operand each inner type takes
+_TERMS = frozenset((Var, Zero, One, Join, Meet, Not, Fop, Gop))
+_FORMULAS = frozenset((Eq, Neq, And, Or, NotF) + _QUANTIFIERS)
+_OPERAND_KINDS = {
+    **dict.fromkeys((Join, Meet, Not, Fop, Gop, Eq, Neq), _TERMS),
+    **dict.fromkeys((And, Or, NotF) + _QUANTIFIERS, _FORMULAS),
+}
+_BINARY = frozenset((Join, Meet, Eq, Neq, And, Or))
+_UNARY = frozenset((Not, Fop, Gop, NotF))
+
+
+class Program(NamedTuple):
+    """Terms and formulas compiled together into straight-line steps.
+
+    ``terms`` holds term steps ``(type, a, b)`` in dependency order: ``a``
+    and ``b`` index earlier term steps, or ``a`` is a Var's name.
+    ``formulas`` holds formula steps ``(type, a, b)``, also in dependency
+    order: an equation's ``a`` and ``b`` are term slots, a connective's are
+    formula slots, and a quantifier's ``a`` is the term slot of the subject
+    its body matches (None if it matches none) and ``b`` is ``(names, body
+    slot)``.  ``reads[i]`` lists, in order, the term slots that formula step
+    i reads.  ``roots`` holds ``(is_formula, slot, reads)``, one per root;
+    a term root reads the slots that no earlier term root has read."""
+
+    terms: tuple[tuple, ...]
+    formulas: tuple[tuple, ...]
+    reads: tuple[tuple[int, ...], ...]
+    roots: tuple[tuple[bool, int, tuple[int, ...]], ...]
+
+
+def compile_program(roots: Sequence[Term | Formula]) -> Program:
+    """Compile terms and formulas into one program, with one step per
+    distinct operation: nodes that are equal as terms or formulas, such as
+    two ``Var("x")`` objects, the ``f`` steps above them or two copies of
+    ``phi``, share one step, across roots as well as within one.
+
+    The walk keeps its own stack, so depth is bounded by memory, not by
+    Python's recursion limit.  A node is visited twice: first to check and
+    stack its operands (left on top), then, with their slots known, to emit
+    its step; the order is that of a recursive post-order walk.  A
+    quantifier's body is compiled with it, for the finite carriers that
+    enumerate it."""
+    terms: list[tuple] = []
+    formulas: list[tuple] = []
+    term_slot: dict[tuple, int] = {}
+    formula_slot: dict[tuple, int] = {}
+    slots: dict[int, int] = {}  # id(node) -> the slot of its step
+    stack: list[tuple[Term | Formula, bool]] = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in slots:
+            continue
+        kind = type(node)
+        if kind is Var:
+            step = (Var, node.name, None)
+        elif kind is Zero or kind is One:
+            step = (kind, None, None)
+        elif kind in _BINARY:
+            if not ready:
+                _check_operands(kind, node.left, node.right)
+                stack += [(node, True), (node.right, False), (node.left, False)]
+                continue
+            step = (kind, slots[id(node.left)], slots[id(node.right)])
+        elif kind in _UNARY:
+            if not ready:
+                _check_operands(kind, node.arg)
+                stack += [(node, True), (node.arg, False)]
+                continue
+            step = (kind, slots[id(node.arg)], None)
+        elif kind in _QUANTIFIERS:
+            subject = node._subject if kind is ExistsAtoms or kind is ForallAtoms else None
+            if not ready:
+                _check_operands(kind, node.body)
+                stack += [(node, True), (node.body, False)]
+                if subject is not None:  # a term inside the body
+                    stack.append((subject, False))
+                continue
+            subject_slot = None if subject is None else slots[id(subject)]
+            step = (kind, subject_slot, (node.names, slots[id(node.body)]))
+        else:
+            raise TypeError(f"unknown term or formula node {node!r}")
+        table, out = (formula_slot, formulas) if kind in _FORMULAS else (term_slot, terms)
+        slot = table.get(step)
+        if slot is None:
+            slot = table[step] = len(out)
+            out.append(step)
+        slots[id(node)] = slot
+    reads = []
+    for kind, a, b in formulas:
+        if kind is Eq or kind is Neq:
+            direct = (a, b)
+        elif kind in _QUANTIFIERS and a is not None:
+            direct = (a,)  # the subject
+        else:
+            direct = ()  # a connective's operands are formula slots
+        reads.append(_closure(terms, direct))
+    read_already: set[int] = set()
+    out_roots = []
+    for root in roots:
+        slot = slots[id(root)]
+        if type(root) in _FORMULAS:
+            out_roots.append((True, slot, ()))
+        else:
+            needed = _closure(terms, (slot,))
+            out_roots.append((False, slot, tuple(i for i in needed if i not in read_already)))
+            read_already.update(needed)
+    return Program(tuple(terms), tuple(formulas), tuple(reads), tuple(out_roots))
+
+
+def _check_operands(kind: type, *operands) -> None:
+    if not all(type(operand) in _OPERAND_KINDS[kind] for operand in operands):
+        raise TypeError(f"an operand of {kind.__name__} has the wrong kind")
+
+
+def _closure(terms: list[tuple], slots: tuple[int, ...]) -> tuple[int, ...]:
+    """The given term slots and every slot they depend on, in order."""
+    needed = set(slots)
+    for i in range(max(slots, default=-1), -1, -1):
+        if i in needed:
+            kind, a, b = terms[i]
+            if kind not in (Var, Zero, One):
+                needed.add(a)
+                if b is not None:
+                    needed.add(b)
+    return tuple(sorted(needed))
+
+
+_UNSET = object()
+
+
+def run(program: Program, handle, env: dict) -> list:
+    """The value of every root of the program under one binding ``env``,
+    in order: a term's value, or a formula's truth.  Each distinct step is
+    computed at most once, and only when some root needs it: a connective
+    decides its left operand first and its right one only when the left
+    does not settle it, so in ``tau_n`` the ``nu_n`` part runs only where
+    ``phi`` holds."""
+    values = [_UNSET] * len(program.terms)
+    truths = [None] * len(program.formulas)
+    out = []
+    for is_formula, slot, reads in program.roots:
+        if is_formula:
+            out.append(_decide(program, slot, handle, env, values, truths))
+        else:
+            _compute(program.terms, reads, handle, env, values)
+            out.append(values[slot])
+    return out
+
+
+def _compute(terms: tuple[tuple, ...], reads, handle, env: dict, values: list) -> None:
+    """Compute the listed term slots that have no value yet, in order."""
+    f, g, neg, meet, join = handle.f, handle.g, handle.neg, handle.meet, handle.join
+    for i in reads:
+        if values[i] is not _UNSET:
+            continue
+        kind, a, b = terms[i]
+        if kind is Fop:
+            values[i] = f(values[a])
+        elif kind is Meet:
+            values[i] = meet(values[a], values[b])
+        elif kind is Not:
+            values[i] = neg(values[a])
+        elif kind is Gop:
+            values[i] = g(values[a])
+        elif kind is Join:
+            values[i] = join(values[a], values[b])
+        elif kind is Var:
+            if a not in env:
+                raise ValueError(f"unbound variable {a!r}")
+            values[i] = env[a]
+        elif kind is Zero:
+            values[i] = handle.zero()
+        else:
+            values[i] = handle.one()
+
+
+def _decide(program: Program, root: int, handle, env: dict, values: list, truths: list):
+    """The truth of formula slot ``root``, walked with an explicit stack: a
+    step whose operands are not decided yet stacks them and is visited
+    again.  A quantifier is one step that the carrier decides."""
+    terms, formulas, reads = program.terms, program.formulas, program.reads
+    stack = [root]
+    while stack:
+        i = stack[-1]
+        if truths[i] is not None:
+            stack.pop()
+            continue
+        kind, a, b = formulas[i]
+        if kind is Eq or kind is Neq:
+            _compute(terms, reads[i], handle, env, values)
+            equal = handle.eq(values[a], values[b])
+            truths[i] = equal if kind is Eq else not equal
+        elif kind is NotF:
+            if truths[a] is None:
+                stack.append(a)
+                continue
+            truths[i] = not truths[a]
+        elif kind is And or kind is Or:
+            left = truths[a]
+            if left is None:
+                stack.append(a)
+                continue
+            if (not left) if kind is And else left:
+                truths[i] = left
+            elif truths[b] is None:
+                stack.append(b)
+                continue
+            else:
+                truths[i] = truths[b]
+        else:  # a quantifier: a is its subject's slot or None, b is (names, body slot)
+            names, body = b
+            subject = None if a is None else _value_of(program, a, reads[i], handle, env, values)
+            truths[i] = handle.quantify(kind, names, subject,
+                                        _truth_of(program, body, names, handle, env))
+        stack.pop()
+    return truths[root]
+
+
+def _value_of(program: Program, slot: int, reads, handle, env: dict, values: list):
+    """Term slot's value, computed from ``reads`` when called."""
+
+    def value():
+        _compute(program.terms, reads, handle, env, values)
+        return values[slot]
+
+    return value
+
+
+def _truth_of(program: Program, body: int, names: tuple[str, ...], handle, env: dict):
+    """Formula slot's truth with ``names`` bound to the given values, in
+    fresh value tables."""
+
+    def truth(bound) -> bool:
+        inner = {**env, **dict(zip(names, bound))}
+        values = [_UNSET] * len(program.terms)
+        truths = [None] * len(program.formulas)
+        return _decide(program, body, handle, inner, values, truths)
+
+    return truth
+
+
+def eval_term(t: Term, handle, env: dict):
+    """The term's value: its one-root program, every distinct operation once."""
+    return run(t._program, handle, env)[0]
 
 
 def eval_formula(fm: Formula, handle, env: dict) -> bool:
@@ -406,59 +644,27 @@ def eval_formula(fm: Formula, handle, env: dict) -> bool:
     atom-relativized shapes through the cardinality classifier and rejects
     anything else.
     """
-    quantifier = _enumerate if handle.kind == "finite" else _classify
-
-    def go(fm: Formula, env: dict) -> bool:
-        if isinstance(fm, Eq):
-            return handle.eq(eval_term(fm.left, handle, env), eval_term(fm.right, handle, env))
-        if isinstance(fm, Neq):
-            return not handle.eq(eval_term(fm.left, handle, env), eval_term(fm.right, handle, env))
-        if isinstance(fm, And):
-            return go(fm.left, env) and go(fm.right, env)
-        if isinstance(fm, Or):
-            return go(fm.left, env) or go(fm.right, env)
-        if isinstance(fm, NotF):
-            return not go(fm.arg, env)
-        if isinstance(fm, _Quantifier):
-            return quantifier(fm, handle, env, go)
-        raise TypeError(f"unknown formula node {fm!r}")
-
-    return go(fm, env)
+    return run(fm._program, handle, env)[0]
 
 
-def _enumerate(fm: Formula, handle, env: dict, go) -> bool:
-    """A quantifier over a finite carrier, one name at a time."""
-    domain = handle.atoms() if isinstance(fm, (ExistsAtoms, ForallAtoms)) else handle.elements()
-    existential = isinstance(fm, (ExistsAtoms, Exists))
-    name, rest = fm.names[0], fm.names[1:]
-    inner = type(fm)(rest, fm.body) if rest else fm.body
-    for value in domain:
-        sub = dict(env)
-        sub[name] = value
-        result = go(inner, sub)
-        if existential and result:
-            return True
-        if not existential and not result:
-            return False
-    return not existential
-
-
-def _join_leaves(t: Term) -> list[Term] | None:
-    """Flatten a join tree; None if any node is not a Join or leaf."""
-    if isinstance(t, Join):
-        left = _join_leaves(t.left)
-        right = _join_leaves(t.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    return [t]
+def _join_leaves(t: Term) -> list[Term]:
+    """The leaves of a join tree, left to right, with a stack of its own."""
+    leaves: list[Term] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Join):
+            stack += [node.right, node.left]
+        else:
+            leaves.append(node)
+    return leaves
 
 
 def _match_join_of_atoms(fm: Eq, names: tuple[str, ...]) -> Term | None:
     """Match t = v1 | ... | vk (vs exactly the quantified names); return t."""
     for subject, joins in ((fm.left, fm.right), (fm.right, fm.left)):
         leaves = _join_leaves(joins)
-        if leaves is None or len(leaves) != len(names):
+        if len(leaves) != len(names):
             continue
         if not all(isinstance(leaf, Var) for leaf in leaves):
             continue
@@ -502,26 +708,6 @@ def _match_atomhood(body: Formula, name: str) -> Term | None:
     if zero_side is not None and self_side is not None and zero_side == self_side:
         return zero_side
     return None
-
-
-def _classify(fm: Formula, handle, env: dict, go) -> bool:
-    """Decide an atom-relativized shape on the symbolic carrier through the
-    cardinality classifier."""
-    if isinstance(fm, ExistsAtoms):
-        if fm._subject is not None:
-            count = handle.card(eval_term(fm._subject, handle, env))
-            return count is not None and 1 <= count <= len(fm.names)
-        raise UnsupportedQueryError(
-            "existential over atoms is only decidable for join-of-atoms equations"
-        )
-    if isinstance(fm, ForallAtoms):
-        if fm._subject is not None:
-            count = handle.card(eval_term(fm._subject, handle, env))
-            return count is not None and count <= 1
-        raise UnsupportedQueryError(
-            "universal over atoms is only decidable for the atomhood shape"
-        )
-    raise UnsupportedQueryError("unrestricted quantifier on an infinite carrier")
 
 
 # ---------------------------------------------------------------------------
@@ -762,41 +948,52 @@ def parse_formula(text: str) -> Formula:
     return _parse(text, Formula)
 
 
-def format_term(t: Term, prec: int = 0) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Fop):
-        return f"f({format_term(t.arg)})"
-    if isinstance(t, Gop):
-        return f"g({format_term(t.arg)})"
-    if isinstance(t, Not):
-        return f"~{format_term(t.arg, 3)}"
-    if isinstance(t, Meet):
-        body = f"{format_term(t.left, 2)} & {format_term(t.right, 3)}"
-        return f"({body})" if prec > 2 else body
-    if isinstance(t, Join):
-        body = f"{format_term(t.left, 1)} | {format_term(t.right, 2)}"
-        return f"({body})" if prec > 1 else body
-    raise TypeError(f"unknown term node {t!r}")
+# each printed node's token and precedence, read off the parser's table
+_PRINTED = {node: (tok, prec) for tok, (prec, node, _) in _OPERATORS.items() if node is not None}
 
 
-def format_formula(fm: Formula, prec: int = 0) -> str:
-    if isinstance(fm, Eq):
-        return f"{format_term(fm.left)} = {format_term(fm.right)}"
-    if isinstance(fm, Neq):
-        return f"{format_term(fm.left)} != {format_term(fm.right)}"
-    if isinstance(fm, NotF):
-        return f"not {format_formula(fm.arg, 3)}"
-    if isinstance(fm, And):
-        body = f"{format_formula(fm.left, 2)} and {format_formula(fm.right, 3)}"
-        return f"({body})" if prec > 2 else body
-    if isinstance(fm, Or):
-        body = f"{format_formula(fm.left, 1)} or {format_formula(fm.right, 2)}"
-        return f"({body})" if prec > 1 else body
-    keyword = next(tok for tok, (_, node, _) in _OPERATORS.items() if node is type(fm))
-    body = f"{keyword} {' '.join(fm.names)} . {format_formula(fm.body)}"
-    return f"({body})" if prec > 0 else body
+def _format(root: Term | Formula) -> str:
+    """Print with the fewest brackets that ``_parse`` needs to build the
+    same node: one loop with its own stack of text and ``(node, least
+    precedence)`` items.  A node whose operator binds more loosely than its
+    place allows is bracketed; an infix operator's left operand may have
+    its own precedence and its right one must bind tighter, as equal ones
+    associate to the left."""
+    out: list[str] = []
+    stack: list = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, least = item
+        kind = type(node)
+        if kind is Var:
+            out.append(node.name)
+            continue
+        if kind in (Zero, One):
+            out.append("0" if kind is Zero else "1")
+            continue
+        if kind not in _PRINTED:
+            raise TypeError(f"unknown term or formula node {node!r}")
+        tok, prec = _PRINTED[kind]
+        if prec == 0:  # f( and g( are brackets of their own
+            parts = [tok + "(", (node.arg, 0), ")"]
+        elif tok in _INFIX:
+            parts = [(node.left, prec), f" {tok} ", (node.right, prec + 1)]
+        elif prec == 1:  # a quantifier
+            parts = [f"{tok} {' '.join(node.names)} . ", (node.body, prec)]
+        else:  # ~ and not
+            parts = [tok if tok == "~" else tok + " ", (node.arg, prec)]
+        if 0 < prec < least:
+            parts = ["(", *parts, ")"]
+        stack += reversed(parts)
+    return "".join(out)
+
+
+def format_term(t: Term) -> str:
+    return _format(t)
+
+
+def format_formula(fm: Formula) -> str:
+    return _format(fm)

@@ -210,18 +210,20 @@ class TestSent:
 
 
 class TestTermsBuiltOnce:
-    # (tm.nu calls, tm.tau calls) of one lemma call, and the sha256 of its
-    # records on {3}.  tau(n) builds nu(n), and exists_tau_witness builds
-    # tau(n) for itself, so sent counts 10 taus of its own and 10 more.
+    # (tm.nu, tm.tau, tm.nu_steps, tm.tau_steps) calls of one lemma call, and
+    # the sha256 of its records on {3}.  Each lemma builds its step terms as
+    # one recurrence; nu(n) runs nu_steps, tau(n) runs nu(n), and
+    # exists_tau_witness builds tau(n) for itself, so sent counts 10 more
+    # taus, nus and recurrences.
     CALLS = {
-        "steps": ((22, 0), "2fca17c178725b95ca3cfdbedc0eb6a95b2dfb921396187bfce1bf31fcb25fe3"),
-        "bgen": ((6, 0), "c361ac3fffcc363416c0cac8d391f364c973d91f9a89f0e84275051037ed895d"),
-        "sent": ((20, 20), "5eca4de763510a2a4c548e5e14630edc9734405a2d2e59edc563621603cd678d"),
+        "steps": ((0, 0, 1, 0), "2fca17c178725b95ca3cfdbedc0eb6a95b2dfb921396187bfce1bf31fcb25fe3"),
+        "bgen": ((0, 0, 1, 0), "c361ac3fffcc363416c0cac8d391f364c973d91f9a89f0e84275051037ed895d"),
+        "sent": ((10, 10, 11, 1), "5eca4de763510a2a4c548e5e14630edc9734405a2d2e59edc563621603cd678d"),
     }
 
     @pytest.mark.parametrize("lemma", sorted(CALLS))
     def test_each_term_is_built_once_per_call(self, monkeypatch, lemma):
-        counts = {"nu": 0, "tau": 0}
+        counts = {"nu": 0, "tau": 0, "nu_steps": 0, "tau_steps": 0}
 
         def counted(name):
             build = getattr(tm, name)
@@ -234,9 +236,37 @@ class TestTermsBuiltOnce:
         for name in counts:
             monkeypatch.setattr(tm, name, counted(name))
         report = au.AUDITS[lemma](parse_sparam("{3}"))
-        (nus, taus), digest = self.CALLS[lemma]
-        assert (counts["nu"], counts["tau"]) == (nus, taus)
+        calls, digest = self.CALLS[lemma]
+        assert tuple(counts.values()) == calls
         assert hashlib.sha256(report.to_records().encode()).hexdigest() == digest
+
+
+class TestOperatorCalls:
+    # calls of the five set operators, hits and misses, in one lemma call on
+    # {3} from empty memo tables (13600, 26617 and 11073 before the lemmas
+    # ran one program per batch and the clause images were memoized).  Each
+    # program step runs once per binding, and a memoized clause image skips
+    # its unions on a hit, so undoing either sharing raises these counts.
+    CALLS = {"steps": 920, "sent": 6861, "cross": 6721}
+    OPERATORS = ("union", "intersect", "complement", "apply_f", "apply_g")
+
+    @pytest.mark.parametrize("lemma", sorted(CALLS))
+    def test_operator_calls_are_pinned(self, monkeypatch, lemma):
+        calls = [0]
+
+        def counted(op):
+            def wrapper(*args):
+                calls[0] += 1
+                return op(*args)
+            return wrapper
+
+        for name in self.OPERATORS:
+            monkeypatch.setattr(sym, name, counted(getattr(sym, name)))
+        for table in sym._memo_tables:
+            table.clear()
+        sym._memo_sparam[0] = None
+        au.AUDITS[lemma](parse_sparam("{3}"))
+        assert calls[0] == self.CALLS[lemma]
 
 
 class TestCross:

@@ -361,6 +361,11 @@ class TestUsageErrors:
         ("frame", "dot", "--s", "{3}", "--imax", "8", "--out", "missing/f.txt"),
         ("distinguish", "--s", "{3}", "--t", "{5}", "--n-bound", "-1"),
         ("distinguish", "--s", "{3}", "--t", "{5}", "--m-bound", "-5"),
+        # these lemmas draw no samples, so a seed would be parsed and ignored
+        ("audit", "fg", "--s", "{3}", "--seed", "7"),
+        ("audit", "steps", "--s", "{3}", "--seed", "7"),
+        ("audit", "bgen", "--s", "{3}", "--seed", "181"),
+        ("audit", "sent", "--seed", "7"),
     ], ids=" ".join)
     def test_rejected_input_prints_nothing(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
@@ -381,6 +386,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.strip() == message
+
+    def test_seed_only_where_samples_are_drawn(self, capsys):
+        code, out, err = run(capsys, "audit", "steps", "--s", "{3}", "--seed", "7")
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: --seed has no effect on steps, which draws no samples"
+        # the default is echoed, and all passes an explicit seed to the sampled lemmas
+        code, out, _ = run(capsys, "audit", "steps", "--s", "{3}", "--format", "records")
+        assert code == 0 and "seed=181" in out.splitlines()[0]
+        code, out, _ = run(capsys, "audit", "all", "--s", "{3}", "--seed", "7",
+                           "--format", "records")
+        assert code == 0 and "seed=7" in out.splitlines()[0]
 
     def test_bad_sparam(self, capsys):
         code, _, err = run(capsys, "eval", "--s", "{4}", "--term", "sigma",

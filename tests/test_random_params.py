@@ -16,7 +16,7 @@ from conftest import random_element, raw_basis_member
 from tensebench import audit as au
 from tensebench import symbolic as sym
 from tensebench import terms as tm
-from tensebench.frames import VertexId
+from tensebench.frames import VertexId, as_finite_algebra
 from tensebench.sparam import SParameter
 
 SEED = 20211018
@@ -219,6 +219,52 @@ def test_single_operations_agree_with_the_oracle(s):
         assert au._oracle_agrees(s, x, sym.apply_g(x), "g"), parts
 
 
+def random_term(rng, height):
+    """A random term tree over x and y, at most ``height`` nodes deep."""
+    if height <= 1 or rng.random() < 0.25:
+        return rng.choice([tm.Var("x"), tm.Var("y"), tm.Var("x"), tm.ZERO, tm.ONE])
+    kind = rng.choice([tm.Join, tm.Meet, tm.Not, tm.Fop, tm.Gop, tm.Fop, tm.Gop])
+    if kind in (tm.Join, tm.Meet):
+        return kind(random_term(rng, height - 1), random_term(rng, height - 1))
+    return kind(random_term(rng, height - 1))
+
+
+def window_bits(spec):
+    """The vertices of a window inside ORACLE_WINDOW, as a mask in the
+    oracle frame's vertex order."""
+    outer = au.ORACLE_WINDOW
+    return sum(((1 << spec.index_max) - 1) << (p - outer.level_lo) * outer.index_max
+               for p in range(spec.level_lo, spec.level_hi + 1))
+
+
+def test_whole_terms_agree_with_the_oracle(s):
+    # ROADMAP item 5(a): a whole term on the symbolic carrier against the
+    # same term on the truncation's algebra, with the inputs cut to the
+    # window, compared where modal_depth(t) steps cannot see past its edge
+    rng = random.Random(f"{SEED} whole terms {s}")
+    outer = au.ORACLE_WINDOW
+    finite = tm.FiniteHandle(as_finite_algebra(au._oracle_frame(s)))
+    symbolic = tm.SymbolicHandle(s)
+    edge_atoms = [sym.basis_a(s, p, m) for p in (-8, 8) for m in (1, 2, 46, 47, 48)]
+    edge_atoms += [sym.basis_a(s, rng.randint(-8, 8), m) for m in (46, 47, 48)]
+    cases = [(tm.Fop(tm.Fop(tm.Var("x"))), a) for a in edge_atoms]
+    cases += [(tm.Gop(tm.Gop(tm.Var("x"))), a) for a in edge_atoms]
+    for _ in range(12):
+        x, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        cases.append((random_term(rng, 7), rng.choice([x, x, rng.choice(edge_atoms)])))
+    at_the_edge = 0
+    for term, x in cases:
+        y, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        got = tm.eval_term(term, symbolic, {"x": x, "y": y})
+        want = tm.eval_term(term, finite, {"x": sym.window_mask(x, outer),
+                                           "y": sym.window_mask(y, outer)})
+        inner = window_bits(outer.shrink(tm.modal_depth(term)))
+        assert (sym.window_mask(got, outer) ^ want) & inner == 0, (term, x, y)
+        at_the_edge += (sym.window_mask(got, outer) ^ want) != 0
+    # the truncation is wrong at its edge, so the margin is what makes these pass
+    assert at_the_edge > 0
+
+
 def test_rule_path_equals_clause_table(s):
     rng = random.Random(f"{SEED} table {s}")
     for _ in range(8):
@@ -259,21 +305,36 @@ def test_first_disagreement_is_exact(s):
         assert report.verdict == ("Identical" if want is None else "Inconclusive")
 
 
-MEMOIZED = (sym.union, sym.intersect, sym.complement, sym.apply_f, sym.apply_g)
+MEMOIZED = (sym.union, sym.intersect, sym.complement, sym.apply_f, sym.apply_g,
+            sym.pattern_row, sym.off_pattern_row, sym._clause_f, sym._clause_g)
+
+
+def memoized_calls(s, x, y, b):
+    """A call of each memoized function: sets x and y, a basis set b."""
+    return ((sym.union, (x, y)), (sym.intersect, (x, y)), (sym.complement, (x,)),
+            (sym.apply_f, (x,)), (sym.apply_g, (x,)), (sym.pattern_row, (s, b.index or 1)),
+            (sym.off_pattern_row, (s, b.index or 1)), (sym._clause_f, (s, b)),
+            (sym._clause_g, (s, b)))
 
 
 def test_memoized_operators_equal_the_uncached_ones(s):
     rng = random.Random(f"{SEED} memo {s}")
     for _ in range(8):
-        x, _ = random_element(rng, s, max_index=s.stable_from + 4)
+        x, parts = random_element(rng, s, max_index=s.stable_from + 4)
         y, _ = random_element(rng, s, max_index=s.stable_from + 4)
-        for op, args in ((sym.union, (x, y)), (sym.intersect, (x, y)), (sym.complement, (x,)),
-                         (sym.apply_f, (x,)), (sym.apply_g, (x,))):
+        b = rng.choice(parts or [sym.BasisSet("A", 0, s.stable_from + 2)])
+        calls = memoized_calls(s, x, y, b)
+        assert [op for op, _ in calls] == list(MEMOIZED)
+        for op, args in calls:
             want = op.__wrapped__(*args)
             for _ in range(2):  # a miss or a hit, then a hit
                 got = op(*args)
                 assert got == want
-                assert sym.validate_canonical(got)
+                if isinstance(got, sym.SymbolicSet):
+                    assert sym.validate_canonical(got)
+                else:
+                    assert got == sym.make_row(s, got.prefix, got.start, got.pat_tail,
+                                               got.off_tail)
             assert op.cache[args] == want
 
 
@@ -303,19 +364,32 @@ def test_no_cache_exceeds_the_cap():
     s = PARAMS[0]
     x = sym.basis(s, sym.BasisSet("D", 0))
     for m in range(1, sym.MEMO_CAP + 40):
-        a = sym.basis(s, sym.BasisSet("A", m % 7, m))
-        sym.complement(a)
-        sym.union(x, a)
+        b = sym.BasisSet("A", m % 7, m)
+        a = sym.basis(s, b)
+        for op, args in memoized_calls(s, a, x, b):
+            op(*args)
         assert all(len(op.cache) <= sym.MEMO_CAP for op in MEMOIZED)
     assert 0 < len(sym.complement.cache) < 40
+    # each new table was emptied on reaching the cap; the row tables also
+    # hold the rows from index 1 that apply_f and the clause images ask for
+    assert all(0 < len(op.cache) <= 41 for op in MEMOIZED[5:])
 
 
 def test_parameter_switch_empties_every_cache():
     s, t = PARAMS[0], PARAMS[1]
     x, y = sym.basis(s, sym.BasisSet("V", 0)), sym.basis(s, sym.BasisSet("A", 1, 3))
-    for op, args in ((sym.union, (x, y)), (sym.intersect, (x, y)), (sym.complement, (x,)),
-                     (sym.apply_f, (x,)), (sym.apply_g, (y,))):
+    for op, args in memoized_calls(s, x, y, sym.BasisSet("S", 1, 3)):
         op(*args)
     assert all(op.cache for op in MEMOIZED)
     sym.apply_g(sym.basis(t, sym.BasisSet("V", 0)))
-    assert [len(op.cache) for op in MEMOIZED] == [0, 0, 0, 0, 1]
+    assert [len(op.cache) for op in MEMOIZED] == [0, 0, 0, 0, 1, 0, 0, 0, 0]
+    # a parameter passed first, as the row and clause builders take it, switches too
+    sym.apply_f(x)
+    assert sym.pattern_row(t, 3) == sym.make_row(t, 0, 3, True, False)
+    assert [len(op.cache) for op in MEMOIZED] == [0, 0, 0, 0, 0, 1, 0, 0, 0]
+    # the clause images of one parameter are never read for another
+    b = sym.BasisSet("Sbar", 0, 2)
+    for op in (sym._clause_f, sym._clause_g):
+        assert op(s, b) == op.__wrapped__(s, b)
+        assert op(t, b) == op.__wrapped__(t, b)
+        assert op(t, b).sparam is t and op.cache == {(t, b): op(t, b)}

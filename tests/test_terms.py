@@ -391,7 +391,8 @@ class TestCompiledEvaluator:
         x = tm.Var("x")
         shared = tm.Fop(x)
         term = tm.Join(tm.Meet(shared, tm.Not(shared)), shared)
-        assert [step[0] for step in term._program] == [tm.Var, tm.Fop, tm.Not, tm.Meet, tm.Join]
+        assert [step[0] for step in term._program.terms] == [
+            tm.Var, tm.Fop, tm.Not, tm.Meet, tm.Join]
         assert term._program is term._program  # compiled once, kept on the node
         assert term == tm.Join(tm.Meet(tm.Fop(x), tm.Not(tm.Fop(x))), tm.Fop(x))
 
@@ -403,7 +404,7 @@ class TestCompiledEvaluator:
                              tm.Gop(tm.Fop(tm.Var("x"))))
         assert duplicated == shared
         assert duplicated._program == shared._program
-        assert [step[0] for step in shared._program] == [
+        assert [step[0] for step in shared._program.terms] == [
             tm.Var, tm.Fop, tm.Not, tm.Meet, tm.Gop, tm.Join]
         rng = random.Random(7)
         for _ in range(8):
