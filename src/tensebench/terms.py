@@ -703,11 +703,17 @@ def _match_atomhood(body: Formula, name: str) -> Term | None:
         t, other = parsed
         if isinstance(other, Zero):
             zero_side = t
-        elif other == t:
+        elif _same_term(other, t):
             self_side = t
-    if zero_side is not None and self_side is not None and zero_side == self_side:
+    if zero_side is not None and self_side is not None and _same_term(zero_side, self_side):
         return zero_side
     return None
+
+
+def _same_term(a: Term, b: Term) -> bool:
+    """Equality of terms without recursion: equal terms compile to the same
+    steps."""
+    return a is b or a._program.terms == b._program.terms
 
 
 # ---------------------------------------------------------------------------

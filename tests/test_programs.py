@@ -12,7 +12,8 @@ from tensebench import symbolic as sym
 from tensebench import terms as tm
 from tensebench.sparam import S_EMPTY, parse_sparam
 from test_random_params import PARAMS
-from test_terms import random_finite_algebra, random_shared_term, reference_eval
+from test_terms import (random_finite_algebra, random_shared_term, reference_eval,
+                        two_element_identity_algebra)
 
 QUANTIFIERS = (tm.ExistsAtoms, tm.ForallAtoms, tm.Exists, tm.Forall)
 
@@ -243,6 +244,17 @@ class TestDeepNodes:
         assert tm.eval_formula(fm, tm.SymbolicHandle(S_EMPTY), {"x": x}) is True
         odd = tm.parse_formula("not " + text)
         assert tm.eval_formula(odd, tm.SymbolicHandle(S_EMPTY), {"x": x}) is False
+
+    def test_deep_atomhood_subject_is_matched(self):
+        # the subject's two copies are separate objects, as the parser builds them
+        text = "f(" * self.DEPTH + "x" + ")" * self.DEPTH
+        fm = tm.parse_formula(f"forall_atom y . {text} & y = 0 or {text} & y = {text}")
+        assert fm._subject is fm.body.left.left.left
+        x = sym.basis_a(S_EMPTY, 0, 1)
+        # f^1500 of an atom is a down-set: infinite, so not an atom
+        assert not tm.eval_formula(fm, tm.SymbolicHandle(S_EMPTY), {"x": x})
+        handle = tm.FiniteHandle(two_element_identity_algebra())
+        assert tm.eval_formula(fm, handle, {"x": 1})
 
     def test_deep_join_of_atoms_is_matched(self):
         names = tuple(f"w{i}" for i in range(self.DEPTH))
