@@ -31,7 +31,6 @@ from .symbolic import (
     complement,
     is_equal,
     is_empty,
-    is_full,
     member,
     apply_f,
     apply_g,
@@ -40,7 +39,6 @@ from .symbolic import (
     decompose_to_basis,
     cardinality,
     max_level,
-    min_level,
     shift,
     restrict_to_window,
     display,
@@ -58,7 +56,6 @@ from .terms import (
     tau,
     eval_term,
     eval_formula,
-    eval_tau,
     exists_tau_witness,
     distinguish,
     SeparationReport,

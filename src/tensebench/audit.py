@@ -728,9 +728,10 @@ _SENT_N_MAX = 12
 
 def _sent_point(
     s: SParameter, p: int, handle: tm.SymbolicHandle, batch: tm.Program
-) -> list[AuditEntry]:
+) -> tuple[list[AuditEntry], list[list[bool]]]:
+    """The entries at level p, and per m the truth of tau_3..tau_12 at A(p,m)."""
     entries = []
-    tau_truths = []  # per m, the truth of tau_3..tau_12 at A(p,m)
+    tau_truths = []
     for m in range(1, _SENT_M_MAX + 1):
         atom = sym.basis_a(s, p, m)
         world = "in" if s.in_pattern(m) else "out"
@@ -766,20 +767,27 @@ def _sent_point(
         for m, taus in enumerate(tau_truths, start=1):
             entries.append(_entry_eq(f"check=tau n={n} p={p} m={m}", f"A({p},{m})", taus[k],
                                      s.in_pattern(n) and m == 1))
-    return entries
+    return entries, tau_truths
 
 
 def audit_sent(s: SParameter) -> AuditReport:
     """Exact phi- and tau-truth sets over the atom window, plus the printed
-    operator-meet formulas, and the existence of tau witnesses."""
+    operator-meet formulas, and the existence of tau witnesses.
+
+    A witness entry reads the batch's truths at the atoms A(0,m), m <= 24:
+    its result is the least such m where tau_n holds, which is what
+    ``tm.exists_tau_witness(s, n, 24)`` finds."""
     handle = tm.SymbolicHandle(s)
     # one program for phi and every tau_n, run once per atom
     batch = tm.compile_program([tm.phi()] + tm.tau_steps(_SENT_N_MAX))
-    entries = [e for p in _SENT_LEVELS for e in _sent_point(s, p, handle, batch)]
-    for n in range(3, _SENT_N_MAX + 1):
-        result = tm.exists_tau_witness(s, n, m_bound=_SENT_M_MAX)
+    points = {p: _sent_point(s, p, handle, batch) for p in _SENT_LEVELS}
+    entries = [e for point, _ in points.values() for e in point]
+    level0 = points[0][1]
+    for k, n in enumerate(range(3, _SENT_N_MAX + 1)):
+        m = next((m for m, taus in enumerate(level0, start=1) if taus[k]), None)
+        result = tm.WitnessResult(m is not None, m, _SENT_M_MAX)
         entry = _entry_eq(f"check=exists-tau n={n}", str(result), result.found, s.in_pattern(n))
-        # a confirmed entry prints no witness, so the search's result goes in its note
+        # a confirmed entry prints no witness, so the result goes in its note
         if entry.status == "Confirmed":
             entry = replace(entry, note=str(result))
         entries.append(entry)

@@ -142,9 +142,6 @@ class Frame:
     def has_edge(self, src: VertexId, dst: VertexId) -> bool:
         return bool(self._succ[self._ordinal[src]] >> self._ordinal[dst] & 1)
 
-    def successors(self, v: VertexId) -> tuple[VertexId, ...]:
-        return self.unmask(self._succ[self._ordinal[v]])
-
     def edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
         out = []
         for i, v in enumerate(self._vertices):

@@ -236,10 +236,6 @@ def is_empty(x: SymbolicSet) -> bool:
     return not x.below_full and not x.above_full and not x.rows
 
 
-def is_full(x: SymbolicSet) -> bool:
-    return x.below_full and x.above_full and not x.rows
-
-
 def is_equal(x: SymbolicSet, y: SymbolicSet) -> bool:
     _check_same_param(x, y)
     return x == y
@@ -670,14 +666,6 @@ def max_level(x: SymbolicSet) -> LevelExtent:
     if x.rows:
         return LevelExtent("level", x.anchor + len(x.rows) - 1)
     return LevelExtent("level", x.anchor - 1)  # below_full, transition at anchor
-
-
-def min_level(x: SymbolicSet) -> LevelExtent:
-    if is_empty(x):
-        return NO_LEVELS
-    if x.below_full:
-        return UNBOUNDED
-    return LevelExtent("level", x.anchor)
 
 
 def shift(x: SymbolicSet, delta: int) -> SymbolicSet:

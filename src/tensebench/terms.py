@@ -24,7 +24,6 @@ from typing import NamedTuple, Sequence
 from . import symbolic as sym
 from .frames import FiniteTenseAlgebra
 from .sparam import SParameter
-from .symbolic import SymbolicSet
 
 
 class UnsupportedQueryError(Exception):
@@ -37,58 +36,67 @@ class UnsupportedQueryError(Exception):
 
 
 class _Node:
-    """A term or formula node."""
+    """A term or formula node.  Nodes compare and hash by their compiled
+    steps, which describe the node exactly: no recursion, at any depth."""
 
     @functools.cached_property
     def _program(self) -> Program:
         """The node as a one-root program, compiled on first use and kept
-        on the node (not a field, so ``==`` and ``hash`` ignore it)."""
+        on the node."""
         return compile_program((self,))
 
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self is other or self._program[:2] == other._program[:2]
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(self._program[:2])
+
+
+@dataclass(frozen=True, eq=False)
 class Term(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Join(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Meet(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fop(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gop(Term):
     arg: Term
 
@@ -274,41 +282,41 @@ class SymbolicHandle:
 # formulas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NotF(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Quantifier(Formula):
     names: tuple[str, ...]
     body: Formula
@@ -318,7 +326,7 @@ class _Quantifier(Formula):
             raise ValueError(f"a quantifier takes one or more distinct names, got {self.names!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistsAtoms(_Quantifier):
     @functools.cached_property
     def _subject(self) -> Term | None:
@@ -326,7 +334,7 @@ class ExistsAtoms(_Quantifier):
         return _match_join_of_atoms(self.body, self.names) if isinstance(self.body, Eq) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForallAtoms(_Quantifier):
     @functools.cached_property
     def _subject(self) -> Term | None:
@@ -334,12 +342,12 @@ class ForallAtoms(_Quantifier):
         return _match_atomhood(self.body, self.names[0]) if len(self.names) == 1 else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exists(_Quantifier):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forall(_Quantifier):
     pass
 
@@ -703,25 +711,15 @@ def _match_atomhood(body: Formula, name: str) -> Term | None:
         t, other = parsed
         if isinstance(other, Zero):
             zero_side = t
-        elif _same_term(other, t):
+        elif other == t:
             self_side = t
-    if zero_side is not None and self_side is not None and _same_term(zero_side, self_side):
+    if zero_side is not None and self_side is not None and zero_side == self_side:
         return zero_side
     return None
 
 
-def _same_term(a: Term, b: Term) -> bool:
-    """Equality of terms without recursion: equal terms compile to the same
-    steps."""
-    return a is b or a._program.terms == b._program.terms
-
-
 # ---------------------------------------------------------------------------
 # the separation procedure
-
-
-def eval_tau(s: SParameter, n: int, x: SymbolicSet) -> bool:
-    return eval_formula(tau(n), SymbolicHandle(s), {"x": x})
 
 
 @dataclass(frozen=True)

@@ -212,13 +212,12 @@ class TestSent:
 class TestTermsBuiltOnce:
     # (tm.nu, tm.tau, tm.nu_steps, tm.tau_steps) calls of one lemma call, and
     # the sha256 of its records on {3}.  Each lemma builds its step terms as
-    # one recurrence; nu(n) runs nu_steps, tau(n) runs nu(n), and
-    # exists_tau_witness builds tau(n) for itself, so sent counts 10 more
-    # taus, nus and recurrences.
+    # one recurrence (tau_steps runs nu_steps), and sent reads its witness
+    # entries off the same batch, so it builds no tau(n) or nu(n).
     CALLS = {
         "steps": ((0, 0, 1, 0), "2fca17c178725b95ca3cfdbedc0eb6a95b2dfb921396187bfce1bf31fcb25fe3"),
         "bgen": ((0, 0, 1, 0), "c361ac3fffcc363416c0cac8d391f364c973d91f9a89f0e84275051037ed895d"),
-        "sent": ((10, 10, 11, 1), "5eca4de763510a2a4c548e5e14630edc9734405a2d2e59edc563621603cd678d"),
+        "sent": ((0, 0, 1, 1), "5eca4de763510a2a4c548e5e14630edc9734405a2d2e59edc563621603cd678d"),
     }
 
     @pytest.mark.parametrize("lemma", sorted(CALLS))
@@ -247,7 +246,7 @@ class TestOperatorCalls:
     # ran one program per batch and the clause images were memoized).  Each
     # program step runs once per binding, and a memoized clause image skips
     # its unions on a hit, so undoing either sharing raises these counts.
-    CALLS = {"steps": 920, "sent": 6861, "cross": 6721}
+    CALLS = {"steps": 920, "sent": 3594, "cross": 6721}
     OPERATORS = ("union", "intersect", "complement", "apply_f", "apply_g")
 
     @pytest.mark.parametrize("lemma", sorted(CALLS))

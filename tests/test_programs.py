@@ -245,8 +245,23 @@ class TestDeepNodes:
         odd = tm.parse_formula("not " + text)
         assert tm.eval_formula(odd, tm.SymbolicHandle(S_EMPTY), {"x": x}) is False
 
+    @pytest.mark.parametrize("depth", [DEPTH, 100000])
+    @pytest.mark.parametrize("kind", ["term", "not-chain"])
+    def test_deep_nodes_hash_and_compare(self, kind, depth):
+        if kind == "term":
+            parse, fmt, text = tm.parse_term, tm.format_term, "f(" * depth + "x" + ")" * depth
+        else:
+            parse, fmt, text = tm.parse_formula, tm.format_formula, "not " * depth + "x = x"
+        node = parse(text)
+        again = parse(fmt(node))
+        assert again is not node
+        assert again == node and hash(again) == hash(node)
+        shallower = node.arg  # one f, or one not, fewer
+        assert shallower != node and node != shallower
+
     def test_deep_atomhood_subject_is_matched(self):
-        # the subject's two copies are separate objects, as the parser builds them
+        # the subject's two copies are separate objects, as the parser builds
+        # them; the matcher finds them equal by ==, which compares steps
         text = "f(" * self.DEPTH + "x" + ")" * self.DEPTH
         fm = tm.parse_formula(f"forall_atom y . {text} & y = 0 or {text} & y = {text}")
         assert fm._subject is fm.body.left.left.left

@@ -305,6 +305,16 @@ def test_first_disagreement_is_exact(s):
         assert report.verdict == ("Identical" if want is None else "Inconclusive")
 
 
+def test_sent_witnesses_equal_the_witness_search(s):
+    # audit_sent reads its exists-tau results off the truths its batch
+    # decided at A(0,m), m <= 24; the search decides each tau_n on its own.
+    # A confirmed entry shows the result as its note, a counterexample as
+    # its witness.
+    printed = {e.fields()["n"]: e.witness or e.note
+               for e in au.audit_sent(s).entries if e.claim.startswith("check=exists-tau ")}
+    assert printed == {str(n): str(tm.exists_tau_witness(s, n, 24)) for n in range(3, 13)}
+
+
 MEMOIZED = (sym.union, sym.intersect, sym.complement, sym.apply_f, sym.apply_g,
             sym.pattern_row, sym.off_pattern_row, sym._clause_f, sym._clause_g)
 

@@ -164,10 +164,6 @@ class TestLevels:
     def test_empty(self):
         assert sym.max_level(sym.empty_set(S_EMPTY)).kind == "empty"
 
-    def test_min_mirror(self):
-        assert sym.min_level(sym.basis(S_EMPTY, B("U", 3))) == sym.LevelExtent("level", 3)
-        assert sym.min_level(sym.basis(S_EMPTY, B("D", 0))).kind == "unbounded"
-
 
 class TestShift:
     def test_row_shift(self):
@@ -209,7 +205,7 @@ class TestDecompose:
         rebuilt = sym.empty_set(S_EMPTY)
         for b in parts:
             rebuilt = sym.union(rebuilt, sym.basis(S_EMPTY, b))
-        assert sym.is_full(rebuilt)
+        assert sym.is_equal(rebuilt, sym.full_set(S_EMPTY))
 
 
 class TestDisplay:

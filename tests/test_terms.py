@@ -138,30 +138,35 @@ class TestFormulas:
             tm.eval_formula(fm, handle, {})
 
 
+def tau_at(s, n, x):
+    """The truth of tau_n at x on the symbolic carrier for s."""
+    return tm.eval_formula(tm.tau(n), tm.SymbolicHandle(s), {"x": x})
+
+
 class TestTau:
     def test_member_index_enables_tau(self):
         s = parse_sparam("{3}")
-        assert tm.eval_tau(s, 3, atom(s, 0, 1))
+        assert tau_at(s, 3, atom(s, 0, 1))
 
     def test_missing_index_disables_tau(self):
-        assert not tm.eval_tau(S_EMPTY, 3, atom(S_EMPTY, 0, 1))
+        assert not tau_at(S_EMPTY, 3, atom(S_EMPTY, 0, 1))
 
     def test_even_index_always_enables_tau(self, family_param):
         _, s = family_param
-        assert tm.eval_tau(s, 4, atom(s, 0, 1))
+        assert tau_at(s, 4, atom(s, 0, 1))
 
     def test_tau_false_off_atoms(self, family_param):
         _, s = family_param
-        assert not tm.eval_tau(s, 4, sym.basis_d(s, 0))
-        assert not tm.eval_tau(s, 4, sym.empty_set(s))
+        assert not tau_at(s, 4, sym.basis_d(s, 0))
+        assert not tau_at(s, 4, sym.empty_set(s))
 
     def test_level_invariance(self, family_param):
         _, s = family_param
         for n in (3, 4, 5):
-            base = tm.eval_tau(s, n, atom(s, 0, 1))
+            base = tau_at(s, n, atom(s, 0, 1))
             for p in range(-2, 3):
-                assert tm.eval_tau(s, n, atom(s, p, 1)) == base
-                assert tm.eval_tau(s, n, atom(s, p, 3)) == tm.eval_tau(s, n, atom(s, 0, 3))
+                assert tau_at(s, n, atom(s, p, 1)) == base
+                assert tau_at(s, n, atom(s, p, 3)) == tau_at(s, n, atom(s, 0, 3))
 
 
 class TestWitnessSearch:
