@@ -864,8 +864,9 @@ _SEEDED = ("desc", "4or5", "top", "cross")
 def audit_parameter(args: tuple[SParameter, tuple[str, ...], int]) -> list[AuditReport]:
     """The reports of the given lemmas on one parameter, in order: one work
     item of ``tw audit``.  Running a parameter's lemmas together keeps the
-    operator memo, which holds the latest parameter only, warm.  Each lemma
-    is looked up in `AUDITS` when called, so a patched entry is the one run."""
+    operator memo, whose tables keep their latest-used results, warm.  Each
+    lemma is looked up in `AUDITS` when called, so a patched entry is the
+    one run."""
     s, lemmas, seed = args
     return [
         AUDITS[lemma](s, seed=seed) if lemma in _SEEDED else AUDITS[lemma](s)

@@ -220,10 +220,7 @@ def is_reflexive(frame: Frame) -> bool:
 def is_total(frame: Frame) -> bool:
     """Every ordered pair related in at least one direction (hence reflexive)."""
     full = (1 << len(frame)) - 1
-    return all(
-        frame._succ[i] | frame._pred[i] == full and frame._succ[i] >> i & 1
-        for i in range(len(frame))
-    )
+    return all(frame._succ[i] | frame._pred[i] == full for i in range(len(frame)))
 
 
 def _gather(adjacency: tuple[int, ...], mask: int) -> int:

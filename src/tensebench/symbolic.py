@@ -249,47 +249,19 @@ def _check_same_param(x: SymbolicSet, y: SymbolicSet):
 # union, intersect, complement, apply_f and apply_g are memoized on their
 # arguments: canonical forms make structural equality a sound key.  So are
 # the basis rows (pattern_row, off_pattern_row) and the clause images
-# (_clause_f, _clause_g), which take the parameter itself first.  A key
+# (_clause_f, _clause_g), which take the parameter itself first, so every
+# key holds its parameter and one table serves any number of them.  A key
 # hashes its sets in C, as sets and rows are NamedTuples; a set's hash takes
-# in its parameter's hash, which the parameter computes once.  The tables
-# hold results for the parameter of the latest call only.  The cap was set
-# by measurement (2-core Xeon, Python 3.11): 4096 raised the audit
-# benchmark's peak RSS by up to 4%, 1024 by about 1%, at the same
-# throughput.
+# in its parameter's hash, which the parameter computes once.  Each table
+# keeps its MEMO_CAP latest-used results.  The cap was set by measurement
+# (2-core Xeon, Python 3.11.7, perfbench, alternating runs): against tables
+# that held the latest parameter only, at 1024 entries each, a cap of 1024
+# raised peak RSS by 9.9% on audit-family and 7.1% on separate, 512 by 4.0%
+# and 2.6%, and 256 by 1.0% and 0.4%, with throughput within the old
+# tables' spread.
 
-MEMO_CAP = 1024
-_memo_tables: list[dict] = []
-_memo_sparam: list[SParameter | None] = [None]
-
-
-def _memoized(fn):
-    """fn with its own table (``.cache``), emptied with all others when a
-    call's parameter (its first argument, or that argument's ``sparam``)
-    differs from the cached one and on its own when it reaches MEMO_CAP;
-    the uncached fn is ``__wrapped__``."""
-    table: dict = {}
-    _memo_tables.append(table)
-
-    @functools.wraps(fn)
-    def memo(*args):
-        s = args[0]
-        if s.__class__ is not SParameter:
-            s = s.sparam
-        if s is not _memo_sparam[0]:
-            if s != _memo_sparam[0]:
-                for other in _memo_tables:
-                    other.clear()
-            _memo_sparam[0] = s
-        out = table.get(args)
-        if out is None:
-            out = fn(*args)
-            if len(table) >= MEMO_CAP:
-                table.clear()
-            table[args] = out
-        return out
-
-    memo.cache = table
-    return memo
+MEMO_CAP = 256
+_memoized = functools.lru_cache(maxsize=MEMO_CAP)
 
 
 def _binary(x: SymbolicSet, y: SymbolicSet, is_union: bool) -> SymbolicSet:

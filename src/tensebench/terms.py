@@ -53,50 +53,53 @@ class _Node:
     def __hash__(self):
         return hash(self._program[:2])
 
+    def __repr__(self):
+        return f"{type(self).__name__}({_format(self)!r})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Term(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Join(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Meet(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Fop(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Gop(Term):
     arg: Term
 
@@ -282,41 +285,41 @@ class SymbolicHandle:
 # formulas
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Formula(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class NotF(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Quantifier(Formula):
     names: tuple[str, ...]
     body: Formula
@@ -326,7 +329,7 @@ class _Quantifier(Formula):
             raise ValueError(f"a quantifier takes one or more distinct names, got {self.names!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ExistsAtoms(_Quantifier):
     @functools.cached_property
     def _subject(self) -> Term | None:
@@ -334,7 +337,7 @@ class ExistsAtoms(_Quantifier):
         return _match_join_of_atoms(self.body, self.names) if isinstance(self.body, Eq) else None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ForallAtoms(_Quantifier):
     @functools.cached_property
     def _subject(self) -> Term | None:
@@ -342,12 +345,12 @@ class ForallAtoms(_Quantifier):
         return _match_atomhood(self.body, self.names[0]) if len(self.names) == 1 else None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Exists(_Quantifier):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Forall(_Quantifier):
     pass
 
@@ -374,8 +377,10 @@ def phi(var: str = "x") -> Formula:
     return And(alpha(var), NotF(ExistsAtoms(names, body)))
 
 
+@functools.lru_cache(maxsize=64)
 def tau(n: int, var: str = "x") -> Formula:
-    """phi(x) and the n-th step of x meets f(g^2(x) & ~g(x))."""
+    """phi(x) and the n-th step of x meets f(g^2(x) & ~g(x)).  Equal calls
+    return one node, so its program is compiled once."""
     return And(phi(var), Neq(Meet(nu(n, var), _probe(var)), ZERO))
 
 
@@ -477,7 +482,7 @@ def compile_program(roots: Sequence[Term | Formula]) -> Program:
             subject_slot = None if subject is None else slots[id(subject)]
             step = (kind, subject_slot, (node.names, slots[id(node.body)]))
         else:
-            raise TypeError(f"unknown term or formula node {node!r}")
+            raise TypeError(f"unknown term or formula node of type {kind.__name__}")
         table, out = (formula_slot, formulas) if kind in _FORMULAS else (term_slot, terms)
         slot = table.get(step)
         if slot is None:
@@ -979,7 +984,7 @@ def _format(root: Term | Formula) -> str:
             out.append("0" if kind is Zero else "1")
             continue
         if kind not in _PRINTED:
-            raise TypeError(f"unknown term or formula node {node!r}")
+            raise TypeError(f"unknown term or formula node of type {kind.__name__}")
         tok, prec = _PRINTED[kind]
         if prec == 0:  # f( and g( are brackets of their own
             parts = [tok + "(", (node.arg, 0), ")"]

@@ -9,6 +9,11 @@ from tensebench.frames import VertexId
 from tensebench.sparam import default_family
 
 
+# the functions under the operator memo, each a functools.lru_cache
+MEMOIZED = (sym.union, sym.intersect, sym.complement, sym.apply_f, sym.apply_g,
+            sym.pattern_row, sym.off_pattern_row, sym._clause_f, sym._clause_g)
+
+
 @pytest.fixture(params=default_family(), ids=lambda pair: pair[0])
 def family_param(request):
     """One (label, SParameter) pair per suite parameter."""

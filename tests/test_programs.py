@@ -259,6 +259,16 @@ class TestDeepNodes:
         shallower = node.arg  # one f, or one not, fewer
         assert shallower != node and node != shallower
 
+    @pytest.mark.parametrize("kind", ["term", "not-chain"])
+    def test_deep_nodes_repr(self, kind):
+        if kind == "term":
+            node = tm.parse_term("f(" * self.DEPTH + "x" + ")" * self.DEPTH)
+            text = tm.format_term(node)
+        else:
+            node = tm.parse_formula("not " * self.DEPTH + "x = x")
+            text = tm.format_formula(node)
+        assert repr(node) == f"{type(node).__name__}({text!r})"
+
     def test_deep_atomhood_subject_is_matched(self):
         # the subject's two copies are separate objects, as the parser builds
         # them; the matcher finds them equal by ==, which compares steps

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import random_element, raw_basis_member
+from conftest import MEMOIZED, random_element, raw_basis_member
 from tensebench import audit as au
 from tensebench import symbolic as sym
 from tensebench import terms as tm
@@ -315,16 +315,19 @@ def test_sent_witnesses_equal_the_witness_search(s):
     assert printed == {str(n): str(tm.exists_tau_witness(s, n, 24)) for n in range(3, 13)}
 
 
-MEMOIZED = (sym.union, sym.intersect, sym.complement, sym.apply_f, sym.apply_g,
-            sym.pattern_row, sym.off_pattern_row, sym._clause_f, sym._clause_g)
-
-
 def memoized_calls(s, x, y, b):
     """A call of each memoized function: sets x and y, a basis set b."""
     return ((sym.union, (x, y)), (sym.intersect, (x, y)), (sym.complement, (x,)),
             (sym.apply_f, (x,)), (sym.apply_g, (x,)), (sym.pattern_row, (s, b.index or 1)),
             (sym.off_pattern_row, (s, b.index or 1)), (sym._clause_f, (s, b)),
             (sym._clause_g, (s, b)))
+
+
+def assert_canonical(s, got):
+    if isinstance(got, sym.SymbolicSet):
+        assert sym.validate_canonical(got)
+    else:
+        assert got == sym.make_row(s, got.prefix, got.start, got.pat_tail, got.off_tail)
 
 
 def test_memoized_operators_equal_the_uncached_ones(s):
@@ -338,14 +341,35 @@ def test_memoized_operators_equal_the_uncached_ones(s):
         for op, args in calls:
             want = op.__wrapped__(*args)
             for _ in range(2):  # a miss or a hit, then a hit
+                hits = op.cache_info().hits
                 got = op(*args)
                 assert got == want
-                if isinstance(got, sym.SymbolicSet):
-                    assert sym.validate_canonical(got)
-                else:
-                    assert got == sym.make_row(s, got.prefix, got.start, got.pat_tail,
-                                               got.off_tail)
-            assert op.cache[args] == want
+                assert_canonical(s, got)
+            assert op.cache_info().hits == hits + 1
+
+
+def test_memo_serves_interleaved_parameters():
+    # one table holds several parameters at once; an equal copy of a
+    # parameter is an equal key, and a hit is still the exact result
+    s, t = PARAMS[0], PARAMS[2]
+    s_copy = SParameter(s.explicit, s.bound, s.tail_in)
+    assert s != t and s_copy == s and s_copy is not s
+    rng = random.Random(f"{SEED} interleaved")
+    for _ in range(6):
+        for u in (s, t, s_copy):
+            x, parts = random_element(rng, u, max_index=u.stable_from + 4)
+            y, _ = random_element(rng, u, max_index=u.stable_from + 4)
+            b = rng.choice(parts or [sym.BasisSet("A", 0, u.stable_from + 2)])
+            for op, args in memoized_calls(u, x, y, b):
+                got = op(*args)
+                assert got == op.__wrapped__(*args)
+                assert_canonical(u, got)
+
+
+def test_memoized_functions_are_the_listed_caches():
+    cached = {name for name, value in vars(sym).items() if hasattr(value, "cache_info")}
+    assert cached == {op.__name__ for op in MEMOIZED}
+    assert all(op.cache_info().maxsize == sym.MEMO_CAP for op in MEMOIZED)
 
 
 def test_mixed_parameter_union_still_raises():
@@ -378,28 +402,19 @@ def test_no_cache_exceeds_the_cap():
         a = sym.basis(s, b)
         for op, args in memoized_calls(s, a, x, b):
             op(*args)
-        assert all(len(op.cache) <= sym.MEMO_CAP for op in MEMOIZED)
-    assert 0 < len(sym.complement.cache) < 40
-    # each new table was emptied on reaching the cap; the row tables also
-    # hold the rows from index 1 that apply_f and the clause images ask for
-    assert all(0 < len(op.cache) <= 41 for op in MEMOIZED[5:])
+        assert all(op.cache_info().currsize <= sym.MEMO_CAP for op in MEMOIZED)
+    # every table is full, and the least recently used results went first
+    assert all(op.cache_info().currsize == sym.MEMO_CAP for op in MEMOIZED)
+    for m, hit in ((sym.MEMO_CAP + 39, True), (1, False)):
+        hits = sym.complement.cache_info().hits
+        sym.complement(sym.basis(s, sym.BasisSet("A", m % 7, m)))
+        assert sym.complement.cache_info().hits == hits + hit
 
 
-def test_parameter_switch_empties_every_cache():
+def test_clause_images_of_one_parameter_are_never_read_for_another():
     s, t = PARAMS[0], PARAMS[1]
-    x, y = sym.basis(s, sym.BasisSet("V", 0)), sym.basis(s, sym.BasisSet("A", 1, 3))
-    for op, args in memoized_calls(s, x, y, sym.BasisSet("S", 1, 3)):
-        op(*args)
-    assert all(op.cache for op in MEMOIZED)
-    sym.apply_g(sym.basis(t, sym.BasisSet("V", 0)))
-    assert [len(op.cache) for op in MEMOIZED] == [0, 0, 0, 0, 1, 0, 0, 0, 0]
-    # a parameter passed first, as the row and clause builders take it, switches too
-    sym.apply_f(x)
-    assert sym.pattern_row(t, 3) == sym.make_row(t, 0, 3, True, False)
-    assert [len(op.cache) for op in MEMOIZED] == [0, 0, 0, 0, 0, 1, 0, 0, 0]
-    # the clause images of one parameter are never read for another
     b = sym.BasisSet("Sbar", 0, 2)
     for op in (sym._clause_f, sym._clause_g):
         assert op(s, b) == op.__wrapped__(s, b)
         assert op(t, b) == op.__wrapped__(t, b)
-        assert op(t, b).sparam is t and op.cache == {(t, b): op(t, b)}
+        assert op(s, b).sparam == s and op(t, b).sparam == t

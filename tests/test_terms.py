@@ -205,6 +205,25 @@ class TestDistinguish:
         assert lines[0] == "witness_n=3"
         assert lines[-1] == "verdict=Separated"
 
+    def test_each_tau_is_compiled_once(self, monkeypatch):
+        # both sides, and later requests with the same witness_n, share
+        # one tau_n node and so its one compiled program
+        compiles = [0]
+        compile_program = tm.compile_program
+
+        def counted(roots):
+            compiles[0] += 1
+            return compile_program(roots)
+
+        monkeypatch.setattr(tm, "compile_program", counted)
+        tm.tau.cache_clear()
+        assert tm.tau(7) is tm.tau(7)
+        first = tm.distinguish(parse_sparam("{3,7}"), parse_sparam("{3}"))
+        assert first.witness_n == 7 and compiles[0] > 0
+        once = compiles[0]
+        again = tm.distinguish(parse_sparam("{7,9}"), parse_sparam("{9}"))
+        assert again.witness_n == 7 and compiles[0] == once
+
 
 class TestSyntax:
     @pytest.mark.parametrize(
