@@ -253,12 +253,11 @@ def _check_same_param(x: SymbolicSet, y: SymbolicSet):
 # key holds its parameter and one table serves any number of them.  A key
 # hashes its sets in C, as sets and rows are NamedTuples; a set's hash takes
 # in its parameter's hash, which the parameter computes once.  Each table
-# keeps its MEMO_CAP latest-used results.  The cap was set by measurement
-# (2-core Xeon, Python 3.11.7, perfbench, alternating runs): against tables
-# that held the latest parameter only, at 1024 entries each, a cap of 1024
-# raised peak RSS by 9.9% on audit-family and 7.1% on separate, 512 by 4.0%
-# and 2.6%, and 256 by 1.0% and 0.4%, with throughput within the old
-# tables' spread.
+# keeps its MEMO_CAP most recently used results, of whatever parameters.
+# The cap was set by peak RSS (perfbench, 2-core Xeon, Python 3.11.7,
+# alternating runs) over a memo that kept the latest parameter's results
+# only: 1024 raised it by 9.9% on audit-family and 7.1% on separate, 512 by
+# 4.0% and 2.6%, and 256 by about 1% on both, at the same throughput.
 
 MEMO_CAP = 256
 _memoized = functools.lru_cache(maxsize=MEMO_CAP)

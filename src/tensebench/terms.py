@@ -37,7 +37,8 @@ class UnsupportedQueryError(Exception):
 
 class _Node:
     """A term or formula node.  Nodes compare and hash by their compiled
-    steps, which describe the node exactly: no recursion, at any depth."""
+    steps, which describe the node exactly, and print as their text: no
+    recursion, at any depth."""
 
     @functools.cached_property
     def _program(self) -> Program:
