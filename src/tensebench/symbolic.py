@@ -18,6 +18,7 @@ module compares both against the finite truncation oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -41,7 +42,8 @@ class Row(NamedTuple):
 
     A NamedTuple, not a dataclass, so that hashing and equality run in C:
     every operator memo key hashes the rows of its sets, and the row
-    operations compare rows on every call.
+    operations compare rows on every call.  The hot paths build rows with
+    ``_new(Row, fields)``, which skips the NamedTuple's Python ``__new__``.
     """
 
     prefix: int
@@ -49,6 +51,9 @@ class Row(NamedTuple):
     pat_tail: bool
     off_tail: bool
 
+
+# tuple.__new__ builds a Row or SymbolicSet from its field tuple in C
+_new = tuple.__new__
 
 EMPTY_ROW = Row(0, 1, False, False)
 FULL_ROW = Row(0, 1, True, True)
@@ -92,7 +97,7 @@ def make_row(s: SParameter, members: int, base: int, pat_tail: bool, off_tail: b
     canonical = pat_bits | ~pat if out_off else pat_bits
     explicit = members | (tails & (below >> base << base))
     start = (explicit ^ (canonical & (below ^ 1))).bit_length() or 1
-    return Row(explicit & ((1 << start) - 1), start, pat_tail, out_off)
+    return _new(Row, (explicit & ((1 << start) - 1), start, pat_tail, out_off))
 
 
 def row_contains(s: SParameter, r: Row, n: int) -> bool:
@@ -118,7 +123,10 @@ def _row_binary(s: SParameter, a: Row, b: Row, op) -> Row:
 
 
 # Every stored row is canonical, so the identities below return a canonical
-# row without canonicalizing again.
+# row without canonicalizing again.  A row without tail flags is finite, and
+# so is its meet with any row: such a result is an int mask of members,
+# canonical as built with start just above its top bit, so make_row runs only
+# when a tail survives.
 
 
 def row_union(s, a, b):
@@ -126,7 +134,12 @@ def row_union(s, a, b):
         return a
     if a == EMPTY_ROW or b == FULL_ROW:
         return b
-    return _row_binary(s, a, b, operator.or_)
+    a_prefix, _, a_pat, a_off = a
+    b_prefix, _, b_pat, b_off = b
+    if a_pat or a_off or b_pat or b_off:
+        return _row_binary(s, a, b, operator.or_)
+    members = a_prefix | b_prefix
+    return _new(Row, (members, members.bit_length() or 1, False, False))
 
 
 def row_intersect(s, a, b):
@@ -134,13 +147,21 @@ def row_intersect(s, a, b):
         return a
     if a == FULL_ROW or b == EMPTY_ROW:
         return b
-    return _row_binary(s, a, b, operator.and_)
+    if a.pat_tail or a.off_tail:
+        if b.pat_tail or b.off_tail:
+            return _row_binary(s, a, b, operator.and_)
+        a, b = b, a
+    # a is finite, so the meet is a's prefix and b's members below a's start
+    a_prefix, top, _, _ = a
+    members = a_prefix & _row_bits(b, s.pattern_mask(top), top)
+    return _new(Row, (members, members.bit_length() or 1, False, False))
 
 
 def row_complement(s: SParameter, r: Row) -> Row:
     # flipping the prefix and both tails keeps every index where they differ,
     # so start stays minimal and the row stays canonical
-    return Row(r.prefix ^ ((1 << r.start) - 2), r.start, not r.pat_tail, not r.off_tail)
+    prefix, start, pat_tail, off_tail = r
+    return _new(Row, (prefix ^ ((1 << start) - 2), start, not pat_tail, not off_tail))
 
 
 def row_is_infinite(r: Row) -> bool:
@@ -172,7 +193,7 @@ def row_meets_pattern(s: SParameter, r: Row) -> bool:
 
 def tail_row(s: SParameter, start: int) -> Row:
     """All indices >= start; canonical as built, as index start - 1 is out."""
-    return Row(0, max(start, 1), True, True)
+    return _new(Row, (0, max(start, 1), True, True))
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +232,26 @@ class SymbolicSet(NamedTuple):
 def _make_set(
     s: SParameter, below_full: bool, above_full: bool, lo: int, rows: list[Row]
 ) -> SymbolicSet:
+    """The canonical set with the given constant behaviour and rows from
+    level lo on: rows equal to the adjacent constant row are trimmed off."""
     below_row = FULL_ROW if below_full else EMPTY_ROW
     above_row = FULL_ROW if above_full else EMPTY_ROW
-    rows = list(rows)
-    while rows and rows[0] == below_row:
-        rows.pop(0)
-        lo += 1
-    while rows and rows[-1] == above_row:
-        rows.pop()
-    if not rows and below_full == above_full:
-        lo = 0
-    return SymbolicSet(s, below_full, above_full, lo, tuple(rows))
+    first, end = 0, len(rows)
+    while first < end and rows[first] == below_row:
+        first += 1
+    while first < end and rows[end - 1] == above_row:
+        end -= 1
+    if first == end and below_full == above_full:
+        return _new(SymbolicSet, (s, below_full, above_full, 0, ()))
+    return _new(SymbolicSet, (s, below_full, above_full, lo + first, tuple(rows[first:end])))
 
 
 def empty_set(s: SParameter) -> SymbolicSet:
-    return SymbolicSet(s, False, False, 0, ())
+    return _new(SymbolicSet, (s, False, False, 0, ()))
 
 
 def full_set(s: SParameter) -> SymbolicSet:
-    return SymbolicSet(s, True, True, 0, ())
+    return _new(SymbolicSet, (s, True, True, 0, ()))
 
 
 def is_empty(x: SymbolicSet) -> bool:
@@ -264,27 +286,37 @@ _memoized = functools.lru_cache(maxsize=MEMO_CAP)
 
 
 def _binary(x: SymbolicSet, y: SymbolicSet, is_union: bool) -> SymbolicSet:
-    _check_same_param(x, y)
-    s = x.sparam
+    s, x_below, x_above, x_anchor, x_rows = x
+    if y.sparam is not s:
+        _check_same_param(x, y)
+    _, y_below, y_above, y_anchor, y_rows = y
     if is_union:
-        below, above = x.below_full or y.below_full, x.above_full or y.above_full
+        below, above = x_below or y_below, x_above or y_above
         row_op = row_union
     else:
-        below, above = x.below_full and y.below_full, x.above_full and y.above_full
+        below, above = x_below and y_below, x_above and y_above
         row_op = row_intersect
-    # a set that is not constant has its own rows on [anchor, anchor + len(rows))
-    x_varies = x.rows or x.below_full != x.above_full
-    y_varies = y.rows or y.below_full != y.above_full
+    # a set that is not constant has its own rows on [anchor, anchor + len(rows));
+    # a constant one is given its anchor at lo, so that it pads with one row
+    x_end, y_end = x_anchor + len(x_rows), y_anchor + len(y_rows)
+    x_varies = x_rows or x_below != x_above
+    y_varies = y_rows or y_below != y_above
     if x_varies and y_varies:
-        lo = min(x.anchor, y.anchor)
-        end = max(x.anchor + len(x.rows), y.anchor + len(y.rows))
-    elif x_varies or y_varies:
-        z = x if x_varies else y
-        lo, end = z.anchor, z.anchor + len(z.rows)
+        lo, end = min(x_anchor, y_anchor), max(x_end, y_end)
+    elif x_varies:
+        lo, end = x_anchor, x_end
+        y_anchor = y_end = lo
+    elif y_varies:
+        lo, end = y_anchor, y_end
+        x_anchor = x_end = lo
     else:
-        return _make_set(s, below, above, 0, [])
-    rows = [row_op(s, x.row_at(q), y.row_at(q)) for q in range(lo, end)]
-    return _make_set(s, below, above, lo, rows)
+        return _make_set(s, below, above, 0, ())
+    # both operands' rows on the levels [lo, end), walked side by side
+    x_rows = ((FULL_ROW if x_below else EMPTY_ROW,) * (x_anchor - lo) + x_rows
+              + (FULL_ROW if x_above else EMPTY_ROW,) * (end - x_end))
+    y_rows = ((FULL_ROW if y_below else EMPTY_ROW,) * (y_anchor - lo) + y_rows
+              + (FULL_ROW if y_above else EMPTY_ROW,) * (end - y_end))
+    return _make_set(s, below, above, lo, tuple(map(row_op, itertools.repeat(s), x_rows, y_rows)))
 
 
 @_memoized
@@ -299,9 +331,11 @@ def intersect(x: SymbolicSet, y: SymbolicSet) -> SymbolicSet:
 
 @_memoized
 def complement(x: SymbolicSet) -> SymbolicSet:
-    s = x.sparam
-    rows = [row_complement(s, r) for r in x.rows]
-    return _make_set(s, not x.below_full, not x.above_full, x.anchor, rows)
+    # the complement of a canonical set is canonical: rows that differ from
+    # the adjacent constant rows still do once all three are flipped
+    s, below_full, above_full, anchor, rows = x
+    return _new(SymbolicSet, (s, not below_full, not above_full, anchor,
+                              tuple([row_complement(s, r) for r in rows])))
 
 
 @_memoized
@@ -414,13 +448,15 @@ def basis_u(s, p):
 
 
 def _f_row_image(s: SParameter, r: Row) -> Row:
-    if r == EMPTY_ROW:
-        return EMPTY_ROW
-    if row_is_infinite(r):
+    prefix, _, pat_tail, off_tail = r
+    if pat_tail or off_tail:
         return FULL_ROW
-    top = r.prefix.bit_length() - 1
-    # indices 1..top + 1; canonical as built, since bit top + 1 is its top bit
-    return Row((1 << (top + 2)) - 2, top + 2, False, False)
+    if not prefix:
+        return EMPTY_ROW
+    # indices 1..top + 1 for the top member top; canonical as built, since
+    # bit top + 1 is its top bit
+    start = prefix.bit_length() + 1
+    return _new(Row, ((1 << start) - 2, start, False, False))
 
 
 def _g_row_image(s: SParameter, r: Row) -> Row:
@@ -432,34 +468,42 @@ def _g_row_image(s: SParameter, r: Row) -> Row:
 
 @_memoized
 def apply_f(x: SymbolicSet) -> SymbolicSet:
-    s = x.sparam
-    if is_empty(x):
-        return x
-    if x.above_full:
+    s, below_full, above_full, anchor, rows = x
+    if above_full:
         return full_set(s)
-    top_level = x.anchor + len(x.rows) - 1 if x.rows else x.anchor - 1
-    top = x.row_at(top_level)
+    if not rows:
+        if not below_full:
+            return x  # empty
+        # D(anchor - 1): its top level and the one under it are full rows
+        top_level, top, under = anchor - 1, FULL_ROW, FULL_ROW
+    else:
+        top_level, top = anchor + len(rows) - 1, rows[-1]
+        under = rows[-2] if len(rows) > 1 else FULL_ROW if below_full else EMPTY_ROW
     out_top = _f_row_image(s, top)
-    if row_contains(s, x.row_at(top_level - 1), 1):
+    if row_contains(s, under, 1):
         out_top = row_union(s, out_top, pattern_row(s))
     out_above = pattern_row(s) if row_contains(s, top, 1) else EMPTY_ROW
-    return _make_set(s, True, False, top_level, [out_top, out_above])
+    return _make_set(s, True, False, top_level, (out_top, out_above))
 
 
 @_memoized
 def apply_g(x: SymbolicSet) -> SymbolicSet:
-    s = x.sparam
-    if is_empty(x):
-        return x
-    if x.below_full:
+    s, below_full, above_full, anchor, rows = x
+    if below_full:
         return full_set(s)
-    low_level = x.anchor
-    low = x.row_at(low_level)
+    if not rows:
+        if not above_full:
+            return x  # empty
+        # U(anchor): its lowest level and the one over it are full rows
+        low, over = FULL_ROW, FULL_ROW
+    else:
+        low = rows[0]
+        over = rows[1] if len(rows) > 1 else FULL_ROW if above_full else EMPTY_ROW
     out_low = _g_row_image(s, low)
-    if row_meets_pattern(s, x.row_at(low_level + 1)):
+    if row_meets_pattern(s, over):
         out_low = row_union(s, out_low, INDEX_ONE_ROW)
     out_below = INDEX_ONE_ROW if row_meets_pattern(s, low) else EMPTY_ROW
-    return _make_set(s, False, True, low_level - 1, [out_below, out_low])
+    return _make_set(s, False, True, anchor - 1, (out_below, out_low))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,24 @@ class TestFg:
             checked += 1
         assert checked > 0
 
+    def test_oracle_disagreement_is_never_allowlisted(self, monkeypatch):
+        # drop A(-1,1) from g(S(0,5)) on {3}: the claims at clause 15 with
+        # m = 5 and m = 6 (S(0,5) = S(0,6) on {3}) match the g15-row-start
+        # rule by their fields, but the oracle contradicts the engine there
+        s = parse_sparam("{3}")
+        target = sym.basis_srow(s, 0, 5)
+        dropped = sym.complement(sym.basis_a(s, -1, 1))
+        apply_g = sym.apply_g
+
+        def mutated(x):
+            return sym.intersect(apply_g(x), dropped) if x == target else apply_g(x)
+
+        monkeypatch.setattr(sym, "apply_g", mutated)
+        report = au.audit_fg(s)
+        assert [e.claim for e in report.failures] == [
+            "clause=15 op=g p=0 m=5", "clause=15 op=g p=0 m=6"]
+        assert all(e.vs_oracle and not e.allowlisted for e in report.failures)
+
 
 class TestDesc:
     def test_ok(self, family_param):

@@ -73,6 +73,120 @@ def test_operations_stay_canonical(s):
             assert sym.validate_canonical(result)
 
 
+# Reference set operations: the kernel as it was before it walked row tuples
+# by index, combined finite rows as int masks and built its tuples in C.  They
+# read each level through row_at, canonicalize every row operation through
+# _row_binary and build through the NamedTuple constructors.
+
+
+def ref_make_set(s, below_full, above_full, lo, rows):
+    below_row = sym.FULL_ROW if below_full else sym.EMPTY_ROW
+    above_row = sym.FULL_ROW if above_full else sym.EMPTY_ROW
+    rows = list(rows)
+    while rows and rows[0] == below_row:
+        rows.pop(0)
+        lo += 1
+    while rows and rows[-1] == above_row:
+        rows.pop()
+    if not rows and below_full == above_full:
+        lo = 0
+    return sym.SymbolicSet(s, below_full, above_full, lo, tuple(rows))
+
+
+def ref_binary(x, y, is_union):
+    s = x.sparam
+    op = operator.or_ if is_union else operator.and_
+    below, above = op(x.below_full, y.below_full), op(x.above_full, y.above_full)
+    x_varies = x.rows or x.below_full != x.above_full
+    y_varies = y.rows or y.below_full != y.above_full
+    if x_varies and y_varies:
+        lo = min(x.anchor, y.anchor)
+        end = max(x.anchor + len(x.rows), y.anchor + len(y.rows))
+    elif x_varies or y_varies:
+        z = x if x_varies else y
+        lo, end = z.anchor, z.anchor + len(z.rows)
+    else:
+        return ref_make_set(s, below, above, 0, [])
+    rows = [sym._row_binary(s, x.row_at(q), y.row_at(q), op) for q in range(lo, end)]
+    return ref_make_set(s, below, above, lo, rows)
+
+
+def ref_complement(x):
+    rows = [sym.Row(r.prefix ^ ((1 << r.start) - 2), r.start, not r.pat_tail, not r.off_tail)
+            for r in x.rows]
+    return ref_make_set(x.sparam, not x.below_full, not x.above_full, x.anchor, rows)
+
+
+def ref_apply_f(x):
+    s = x.sparam
+    if sym.is_empty(x):
+        return x
+    if x.above_full:
+        return sym.full_set(s)
+    top_level = x.anchor + len(x.rows) - 1 if x.rows else x.anchor - 1
+    top = x.row_at(top_level)
+    if top == sym.EMPTY_ROW:
+        out_top = sym.EMPTY_ROW
+    elif sym.row_is_infinite(top):
+        out_top = sym.FULL_ROW
+    else:
+        n = top.prefix.bit_length() - 1
+        out_top = sym.Row((1 << (n + 2)) - 2, n + 2, False, False)
+    if sym.row_contains(s, x.row_at(top_level - 1), 1):
+        out_top = sym._row_binary(s, out_top, sym.pattern_row(s), operator.or_)
+    out_above = sym.pattern_row(s) if sym.row_contains(s, top, 1) else sym.EMPTY_ROW
+    return ref_make_set(s, True, False, top_level, [out_top, out_above])
+
+
+def ref_apply_g(x):
+    s = x.sparam
+    if sym.is_empty(x):
+        return x
+    if x.below_full:
+        return sym.full_set(s)
+    low = x.row_at(x.anchor)
+    out_low = sym.EMPTY_ROW
+    if low != sym.EMPTY_ROW:
+        out_low = sym.Row(0, max(1, sym.row_min(s, low) - 1), True, True)
+    if sym.row_meets_pattern(s, x.row_at(x.anchor + 1)):
+        out_low = sym._row_binary(s, out_low, sym.INDEX_ONE_ROW, operator.or_)
+    out_below = sym.INDEX_ONE_ROW if sym.row_meets_pattern(s, low) else sym.EMPTY_ROW
+    return ref_make_set(s, False, True, x.anchor - 1, [out_below, out_low])
+
+
+def random_finite_element(rng, s, max_index):
+    """Union of up to six random atoms A(p,m): every row is finite."""
+    out = sym.empty_set(s)
+    for _ in range(rng.randint(1, 6)):
+        out = sym.union(out, sym.basis_a(s, rng.randint(-2, 2), rng.randint(1, max_index)))
+    return out
+
+
+def test_set_kernel_equals_the_reference_operations(s):
+    rng = random.Random(f"{SEED} kernel {s}")
+    top = s.stable_from + 4
+    pool = {sym.empty_set(s), sym.full_set(s)}
+    for _ in range(6):
+        x, _ = random_element(rng, s, max_index=top)
+        pool |= {x, random_finite_element(rng, s, top)}
+    for x in list(pool)[:8]:
+        pool |= {ref_complement(x), ref_apply_f(x), ref_apply_g(x)}
+    pool = sorted(pool, key=sym.display)
+    unary = ((sym.complement, ref_complement), (sym.apply_f, ref_apply_f),
+             (sym.apply_g, ref_apply_g))
+    binary = ((sym.union, True), (sym.intersect, False))
+    for x in pool:
+        for op, ref in unary:
+            got = op.__wrapped__(x)
+            assert got == ref(x), (op.__name__, str(x))
+            assert sym.validate_canonical(got)
+        for y in pool:
+            for op, is_union in binary:
+                got = op.__wrapped__(x, y)
+                assert got == ref_binary(x, y, is_union), (op.__name__, str(x), str(y))
+                assert sym.validate_canonical(got)
+
+
 def _raw_row(s, r, top):
     return {n for n in range(1, top) if sym.row_contains(s, r, n)}
 
