@@ -176,14 +176,13 @@ def row_count(r: Row) -> int | None:
 def row_min(s: SParameter, r: Row) -> int | None:
     if r.prefix:
         return (r.prefix & -r.prefix).bit_length() - 1
-    candidates = []
-    if r.pat_tail:
-        candidates.append(s.pattern_min(r.start))
-    if r.off_tail:
-        off = s.off_pattern_min(r.start)
-        if off is not None:
-            candidates.append(off)
-    return min(candidates) if candidates else None
+    if not (r.pat_tail or r.off_tail):
+        return None
+    # from stable_from on, each class that has a tail there holds one of any
+    # two consecutive indices, so the least member lies below k
+    k = max(r.start, s.stable_from) + 2
+    members = _row_bits(r, s.pattern_mask(k), k)
+    return (members & -members).bit_length() - 1 if members else None
 
 
 def row_meets_pattern(s: SParameter, r: Row) -> bool:
@@ -230,7 +229,7 @@ class SymbolicSet(NamedTuple):
 
 
 def _make_set(
-    s: SParameter, below_full: bool, above_full: bool, lo: int, rows: list[Row]
+    s: SParameter, below_full: bool, above_full: bool, lo: int, rows: list[Row] | tuple[Row, ...]
 ) -> SymbolicSet:
     """The canonical set with the given constant behaviour and rows from
     level lo on: rows equal to the adjacent constant row are trimmed off."""
@@ -316,7 +315,7 @@ def _binary(x: SymbolicSet, y: SymbolicSet, is_union: bool) -> SymbolicSet:
               + (FULL_ROW if x_above else EMPTY_ROW,) * (end - x_end))
     y_rows = ((FULL_ROW if y_below else EMPTY_ROW,) * (y_anchor - lo) + y_rows
               + (FULL_ROW if y_above else EMPTY_ROW,) * (end - y_end))
-    return _make_set(s, below, above, lo, tuple(map(row_op, itertools.repeat(s), x_rows, y_rows)))
+    return _make_set(s, below, above, lo, list(map(row_op, itertools.repeat(s), x_rows, y_rows)))
 
 
 @_memoized
@@ -479,10 +478,14 @@ def apply_f(x: SymbolicSet) -> SymbolicSet:
     else:
         top_level, top = anchor + len(rows) - 1, rows[-1]
         under = rows[-2] if len(rows) > 1 else FULL_ROW if below_full else EMPTY_ROW
+    # index 1 is off-pattern for every parameter, so a row holds it when its
+    # prefix does or, for a row whose tails start at 1, when its off tail does
+    under_one = under.prefix & 2 if under.start > 1 else under.off_tail
+    top_one = top.prefix & 2 if top.start > 1 else top.off_tail
     out_top = _f_row_image(s, top)
-    if row_contains(s, under, 1):
+    if under_one:
         out_top = row_union(s, out_top, pattern_row(s))
-    out_above = pattern_row(s) if row_contains(s, top, 1) else EMPTY_ROW
+    out_above = pattern_row(s) if top_one else EMPTY_ROW
     return _make_set(s, True, False, top_level, (out_top, out_above))
 
 

@@ -7,6 +7,7 @@ explicit as well as co-finite sets.
 """
 
 import dataclasses
+import itertools
 import operator
 import random
 
@@ -76,7 +77,8 @@ def test_operations_stay_canonical(s):
 # Reference set operations: the kernel as it was before it walked row tuples
 # by index, combined finite rows as int masks and built its tuples in C.  They
 # read each level through row_at, canonicalize every row operation through
-# _row_binary and build through the NamedTuple constructors.
+# _row_binary, take a row's least member from the parameter's own searches
+# and build through the NamedTuple constructors.
 
 
 def ref_make_set(s, below_full, above_full, lo, rows):
@@ -138,6 +140,19 @@ def ref_apply_f(x):
     return ref_make_set(s, True, False, top_level, [out_top, out_above])
 
 
+def ref_row_min(s, r):
+    if r.prefix:
+        return (r.prefix & -r.prefix).bit_length() - 1
+    candidates = []
+    if r.pat_tail:
+        candidates.append(s.pattern_min(r.start))
+    if r.off_tail:
+        off = s.off_pattern_min(r.start)
+        if off is not None:
+            candidates.append(off)
+    return min(candidates) if candidates else None
+
+
 def ref_apply_g(x):
     s = x.sparam
     if sym.is_empty(x):
@@ -147,7 +162,7 @@ def ref_apply_g(x):
     low = x.row_at(x.anchor)
     out_low = sym.EMPTY_ROW
     if low != sym.EMPTY_ROW:
-        out_low = sym.Row(0, max(1, sym.row_min(s, low) - 1), True, True)
+        out_low = sym.Row(0, max(1, ref_row_min(s, low) - 1), True, True)
     if sym.row_meets_pattern(s, x.row_at(x.anchor + 1)):
         out_low = sym._row_binary(s, out_low, sym.INDEX_ONE_ROW, operator.or_)
     out_below = sym.INDEX_ONE_ROW if sym.row_meets_pattern(s, low) else sym.EMPTY_ROW
@@ -169,17 +184,26 @@ def test_set_kernel_equals_the_reference_operations(s):
     for _ in range(6):
         x, _ = random_element(rng, s, max_index=top)
         pool |= {x, random_finite_element(rng, s, top)}
-    for x in list(pool)[:8]:
+    for x in sorted(pool, key=sym.display)[:8]:
         pool |= {ref_complement(x), ref_apply_f(x), ref_apply_g(x)}
     pool = sorted(pool, key=sym.display)
+    # two adjacent levels of every row kind, and their complements, so that
+    # f and g read each kind as the top or lowest row and as its neighbour
+    kinds = [sym.BasisSet("A", 0, 1), sym.BasisSet("A", 0, 3), sym.BasisSet("S", 0, 1),
+             sym.BasisSet("Sbar", 0, 2), sym.BasisSet("V", 0)]
+    stacked = set()
+    for low, high in itertools.product(kinds, repeat=2):
+        x = sym.union(sym.basis(s, low), sym.shift(sym.basis(s, high), 1))
+        stacked |= {x, ref_complement(x)}
     unary = ((sym.complement, ref_complement), (sym.apply_f, ref_apply_f),
              (sym.apply_g, ref_apply_g))
     binary = ((sym.union, True), (sym.intersect, False))
-    for x in pool:
+    for x in pool + sorted(stacked, key=sym.display):
         for op, ref in unary:
             got = op.__wrapped__(x)
             assert got == ref(x), (op.__name__, str(x))
             assert sym.validate_canonical(got)
+    for x in pool:
         for y in pool:
             for op, is_union in binary:
                 got = op.__wrapped__(x, y)
