@@ -229,7 +229,8 @@ class SymbolicSet(NamedTuple):
 
 
 def _make_set(
-    s: SParameter, below_full: bool, above_full: bool, lo: int, rows: list[Row] | tuple[Row, ...]
+    s: SParameter, below_full: bool, above_full: bool, lo: int,
+    rows: list[Row] | tuple[Row, ...],
 ) -> SymbolicSet:
     """The canonical set with the given constant behaviour and rows from
     level lo on: rows equal to the adjacent constant row are trimmed off."""
@@ -296,7 +297,7 @@ def _binary(x: SymbolicSet, y: SymbolicSet, is_union: bool) -> SymbolicSet:
         below, above = x_below and y_below, x_above and y_above
         row_op = row_intersect
     # a set that is not constant has its own rows on [anchor, anchor + len(rows));
-    # a constant one is given its anchor at lo, so that it pads with one row
+    # a constant one takes lo as its anchor, so its padding is one run of its row
     x_end, y_end = x_anchor + len(x_rows), y_anchor + len(y_rows)
     x_varies = x_rows or x_below != x_above
     y_varies = y_rows or y_below != y_above
@@ -315,7 +316,8 @@ def _binary(x: SymbolicSet, y: SymbolicSet, is_union: bool) -> SymbolicSet:
               + (FULL_ROW if x_above else EMPTY_ROW,) * (end - x_end))
     y_rows = ((FULL_ROW if y_below else EMPTY_ROW,) * (y_anchor - lo) + y_rows
               + (FULL_ROW if y_above else EMPTY_ROW,) * (end - y_end))
-    return _make_set(s, below, above, lo, list(map(row_op, itertools.repeat(s), x_rows, y_rows)))
+    rows = list(map(row_op, itertools.repeat(s), x_rows, y_rows))
+    return _make_set(s, below, above, lo, rows)
 
 
 @_memoized
