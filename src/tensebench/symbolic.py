@@ -454,8 +454,8 @@ def _f_row_image(s: SParameter, r: Row) -> Row:
         return FULL_ROW
     if not prefix:
         return EMPTY_ROW
-    # indices 1..top + 1 for the top member top; canonical as built, since
-    # bit top + 1 is its top bit
+    # indices 1..t + 1 for the top member t, so start is t + 2; canonical as
+    # built, since bit t + 1 is its top bit
     start = prefix.bit_length() + 1
     return _new(Row, ((1 << start) - 2, start, False, False))
 
