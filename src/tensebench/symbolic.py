@@ -123,10 +123,21 @@ def _row_binary(s: SParameter, a: Row, b: Row, op) -> Row:
 
 
 # Every stored row is canonical, so the identities below return a canonical
-# row without canonicalizing again.  A row without tail flags is finite, and
-# so is its meet with any row: such a result is an int mask of members,
-# canonical as built with start just above its top bit, so make_row runs only
-# when a tail survives.
+# row without canonicalizing again.  A row whose two tail flags agree is an
+# int mask of its members: its prefix when it has no tails, and its prefix
+# with every index from its start on, a negative int, when it has both.  The
+# union and the meet of two such rows, and the meet of a finite row with any
+# row, are such masks too, so make_row runs only when a tail of one index
+# class survives.
+
+
+def _mask_row(members: int) -> Row:
+    """The canonical row of a mask of members (bit 0 clear): finite when the
+    mask is not negative, else full from just above its highest clear bit."""
+    if members >= 0:
+        return _new(Row, (members, members.bit_length() or 1, False, False))
+    start = (~(members | 1)).bit_length() or 1
+    return _new(Row, (members & ((1 << start) - 2), start, True, True))
 
 
 def row_union(s, a, b):
@@ -134,12 +145,12 @@ def row_union(s, a, b):
         return a
     if a == EMPTY_ROW or b == FULL_ROW:
         return b
-    a_prefix, _, a_pat, a_off = a
-    b_prefix, _, b_pat, b_off = b
-    if a_pat or a_off or b_pat or b_off:
+    a_prefix, a_start, a_pat, a_off = a
+    b_prefix, b_start, b_pat, b_off = b
+    if a_pat != a_off or b_pat != b_off:
         return _row_binary(s, a, b, operator.or_)
-    members = a_prefix | b_prefix
-    return _new(Row, (members, members.bit_length() or 1, False, False))
+    return _mask_row((a_prefix | -(1 << a_start) if a_pat else a_prefix)
+                     | (b_prefix | -(1 << b_start) if b_pat else b_prefix))
 
 
 def row_intersect(s, a, b):
@@ -147,14 +158,18 @@ def row_intersect(s, a, b):
         return a
     if a == FULL_ROW or b == EMPTY_ROW:
         return b
-    if a.pat_tail or a.off_tail:
-        if b.pat_tail or b.off_tail:
-            return _row_binary(s, a, b, operator.and_)
+    if a.pat_tail != a.off_tail:  # a row whose flags agree, if any, goes first
         a, b = b, a
-    # a is finite, so the meet is a's prefix and b's members below a's start
-    a_prefix, top, _, _ = a
-    members = a_prefix & _row_bits(b, s.pattern_mask(top), top)
-    return _new(Row, (members, members.bit_length() or 1, False, False))
+    a_prefix, a_start, a_pat, a_off = a
+    b_prefix, b_start, b_pat, b_off = b
+    if b_pat == b_off:
+        b_members = b_prefix | -(1 << b_start) if b_pat else b_prefix
+    elif a_pat or a_off:
+        return _row_binary(s, a, b, operator.and_)
+    else:
+        # a is finite, so only b's members below a's start count
+        b_members = _row_bits(b, s.pattern_mask(a_start), a_start)
+    return _mask_row((a_prefix | -(1 << a_start) if a_pat else a_prefix) & b_members)
 
 
 def row_complement(s: SParameter, r: Row) -> Row:

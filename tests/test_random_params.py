@@ -187,10 +187,14 @@ def test_set_kernel_equals_the_reference_operations(s):
     for x in sorted(pool, key=sym.display)[:8]:
         pool |= {ref_complement(x), ref_apply_f(x), ref_apply_g(x)}
     pool = sorted(pool, key=sym.display)
-    # two adjacent levels of every row kind, and their complements, so that
-    # f and g read each kind as the top or lowest row and as its neighbour
+    # one level of every row kind, and two adjacent levels, with their
+    # complements: union and meet see every pair of row kinds on one level,
+    # and f and g read each kind as the top or lowest row and as its neighbour
     kinds = [sym.BasisSet("A", 0, 1), sym.BasisSet("A", 0, 3), sym.BasisSet("S", 0, 1),
-             sym.BasisSet("Sbar", 0, 2), sym.BasisSet("V", 0)]
+             sym.BasisSet("S", 0, 4), sym.BasisSet("Sbar", 0, 2), sym.BasisSet("Sbar", 0, 5),
+             sym.BasisSet("V", 0)]
+    single = sorted({x for b in kinds for x in (sym.basis(s, b), ref_complement(sym.basis(s, b)))},
+                    key=sym.display)
     stacked = set()
     for low, high in itertools.product(kinds, repeat=2):
         x = sym.union(sym.basis(s, low), sym.shift(sym.basis(s, high), 1))
@@ -203,12 +207,12 @@ def test_set_kernel_equals_the_reference_operations(s):
             got = op.__wrapped__(x)
             assert got == ref(x), (op.__name__, str(x))
             assert sym.validate_canonical(got)
-    for x in pool:
-        for y in pool:
-            for op, is_union in binary:
-                got = op.__wrapped__(x, y)
-                assert got == ref_binary(x, y, is_union), (op.__name__, str(x), str(y))
-                assert sym.validate_canonical(got)
+    for x, y in itertools.chain(itertools.product(pool, repeat=2),
+                                itertools.product(single, repeat=2)):
+        for op, is_union in binary:
+            got = op.__wrapped__(x, y)
+            assert got == ref_binary(x, y, is_union), (op.__name__, str(x), str(y))
+            assert sym.validate_canonical(got)
 
 
 def _raw_row(s, r, top):
