@@ -12,7 +12,7 @@ from tensebench import symbolic as sym
 from tensebench import terms as tm
 from tensebench.cli import main
 from tensebench.parallel import parallel_map
-from tensebench.sparam import parse_sparam
+from tensebench.sparam import default_family, parse_sparam
 
 
 def allow_keys(report):
@@ -383,6 +383,14 @@ class TestReportMechanics:
         for rule in au.ALLOWLIST:
             assert rule.lemma in au.AUDITS
             assert rule.reason and rule.key
+
+    def test_every_allowlist_rule_allowlists_a_default_family_entry(self):
+        # no rule is dead: each one marks some counterexample of the family
+        used = set()
+        for lemma in {rule.lemma for rule in au.ALLOWLIST}:
+            for _, s in default_family():
+                used |= {(lemma, key) for key in allow_keys(au.AUDITS[lemma](s))}
+        assert used == {(rule.lemma, rule.key) for rule in au.ALLOWLIST}
 
     def test_grids_are_fixed_and_only_sampled_lemmas_take_a_seed(self):
         for lemma, fn in au.AUDITS.items():

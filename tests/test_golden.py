@@ -22,6 +22,14 @@ GOLDEN = {
         "6cc857803cdd8d8b2ca3a8142dcab97f2d6edffd9a3600709adcb74882d383d8",
     ("audit", "4or5", "--s", "{3}", "--seed", "7"):
         "9bc2195e527c06d2237fe1955e1781fc51958bc6e311b8f634379ac14fc989d3",
+    # past the default family's bound 7: rows with one tail, an all-in tail
+    # at bound 41, and 400-bit row prefixes
+    ("audit", "all", "--s", "{3,9,13,21,29} tail=out bound=33"):
+        "07bae8a4e3446e05d4a4f71bbfef25e8b935733e9e2074cf0550a413f921a620",
+    ("audit", "all", "--s", "O\\{5,9,41}"):
+        "c9ed223cb039d06bc939de954090699828c2aae1477ad540f1cb44773e89077a",
+    ("audit", "all", "--s", "{401}"):
+        "90542f028d7ab899404c4617c366f783366e0a1de0ea5913f9b63f21d8bd92c8",
     ("distinguish", "--s", "{3}", "--t", "{5}", "--format", "records"):
         "7e5ccc3313879572d3c7e34b2b2fbaedfdf735c99e7473845dc04217032291b7",
     ("distinguish", "--s", "{3,9,41}", "--t", "{3,9}", "--format", "records"):
