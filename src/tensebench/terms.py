@@ -380,13 +380,16 @@ def phi(var: str = "x") -> Formula:
 
 @functools.lru_cache(maxsize=64)
 def tau(n: int, var: str = "x") -> Formula:
-    """phi(x) and the n-th step of x meets f(g^2(x) & ~g(x)).  Equal calls
-    return one node, so its program is compiled once."""
-    return And(phi(var), Neq(Meet(nu(n, var), _probe(var)), ZERO))
+    """The n-th sentence body; see ``tau_steps``.  Equal calls return one
+    node, so its program is compiled once."""
+    if n < 3:
+        raise ValueError("tau is defined for n >= 3")
+    return tau_steps(n, var)[-1]
 
 
 def tau_steps(n_max: int, var: str = "x") -> list[Formula]:
-    """tau_3, ..., tau_{n_max}, built on one phi, one probe and one run of
+    """tau_3, ..., tau_{n_max}: phi(x) and the n-th step of x meets
+    f(g^2(x) & ~g(x)), built on one phi, one probe and one run of
     ``nu_steps``."""
     head, probe = phi(var), _probe(var)
     return [And(head, Neq(Meet(step, probe), ZERO)) for step in nu_steps(n_max, var)]

@@ -205,6 +205,12 @@ class TestDistinguish:
         assert lines[0] == "witness_n=3"
         assert lines[-1] == "verdict=Separated"
 
+    def test_tau_is_the_last_of_its_steps_and_starts_at_three(self):
+        assert tm.tau(9, "z") == tm.tau_steps(9, "z")[-1]
+        for n in (2, 0, -1):
+            with pytest.raises(ValueError):
+                tm.tau(n)
+
     def test_each_tau_is_compiled_once(self, monkeypatch):
         # both sides, and later requests with the same witness_n, share
         # one tau_n node and so its one compiled program
