@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,17 +27,20 @@ from .frames import TruncationSpec, VertexId, iter_bits
 from .sparam import SParameter
 
 # ---------------------------------------------------------------------------
-# canonical rows
+# rows
 
 
 class Row(NamedTuple):
-    """Canonical description of one level's index set.
+    """One level's index set, as two sign-extended ints (bit n for index n).
 
-    Denotes the indices whose bits are set in the int mask ``prefix`` (bit n
-    for index n) together with, from ``start`` on, all pattern indices (if
-    ``pat_tail``) and all off-pattern indices (if ``off_tail``).  Canonical
-    form: prefix has bits only in [1, start); start is minimal; ``off_tail``
-    is set only when the off-pattern tail is infinite.
+    ``on`` holds the row's pattern indices and ``off`` its off-pattern ones.
+    Every bit of an int outside its own index class, bit 0 included, equals
+    the int's sign, so a class's part is finite when its int is not negative
+    and cofinite when it is.  When the parameter's off-pattern class is
+    finite (all-in tail), ``off`` takes the sign of ``on``, so that the empty
+    and the full row are the same two rows for every parameter.  Equal sets
+    then have equal ints, and union, meet and complement of rows are ``|``,
+    ``&`` and ``~`` on both ints.
 
     A NamedTuple, not a dataclass, so that hashing and equality run in C:
     every operator memo key hashes the rows of its sets, and the row
@@ -46,111 +48,75 @@ class Row(NamedTuple):
     ``_new(Row, fields)``, which skips the NamedTuple's Python ``__new__``.
     """
 
-    prefix: int
-    start: int
-    pat_tail: bool
-    off_tail: bool
+    on: int
+    off: int
 
 
 # tuple.__new__ builds a Row or SymbolicSet from its field tuple in C
 _new = tuple.__new__
 
-EMPTY_ROW = Row(0, 1, False, False)
-FULL_ROW = Row(0, 1, True, True)
-INDEX_ONE_ROW = Row(0b10, 2, False, False)  # just index 1, for any parameter
-
-
-def _tails(pat: int, pat_tail: bool, off_tail: bool) -> int:
-    """The selected tails as an unbounded mask, given the pattern mask."""
-    return (pat if pat_tail else 0) | (~pat if off_tail else 0)
+EMPTY_ROW = Row(0, 0)
+FULL_ROW = Row(-1, -1)
+INDEX_ONE_ROW = Row(0, 0b10)  # just index 1, off-pattern for any parameter
 
 
 def make_row(s: SParameter, members: int, base: int, pat_tail: bool, off_tail: bool) -> Row:
-    """Canonicalize a loose row description.
+    """The row of a loose description: the indices set in the mask
+    ``members`` (bit n for index n >= 1, bits at or above ``base`` allowed)
+    plus, from ``base`` on, every pattern index (if ``pat_tail``) and every
+    off-pattern index (if ``off_tail``).
 
-    Semantics of the input: the indices set in the mask ``members`` (bit n
-    for index n >= 1) plus the selected tails from ``base`` on.  ``members``
-    may have bits at or above ``base``.
-
-    When the parameter's off-pattern class is finite (all-in tail), the only
-    canonical tail forms are (False, False) and (True, True): a pattern tail
-    is then cofinite, so it is stored as a full tail with the finitely many
-    missing indices pushed into the prefix region.
-
-    From the horizon on (``base``, ``stable_from`` and every member lie
-    below it) the input agrees with the canonical tails, so ``start`` is one
-    above the highest index where the explicit bits below the horizon
-    differ from them.
-    """
+    Below k each int takes its class's bits from the description and the
+    other bits from its sign; from k on every index of a class is in the
+    row exactly when its tail is, as k lies past ``base``, every member and,
+    under an all-in tail, the whole off-pattern class."""
     if base < 1:
         base = 1
-    horizon = s.stable_from
-    if base > horizon:
-        horizon = base
-    if members >> horizon:
-        horizon = members.bit_length()
-    below = (1 << horizon) - 1
-    pat = s.pattern_mask(horizon)
-    pat_bits = pat if pat_tail else 0
-    tails = pat_bits | ~pat if off_tail else pat_bits
-    out_off = pat_tail if s.tail_in else off_tail
-    canonical = pat_bits | ~pat if out_off else pat_bits
-    explicit = members | (tails & (below >> base << base))
-    start = (explicit ^ (canonical & (below ^ 1))).bit_length() or 1
-    return _new(Row, (explicit & ((1 << start) - 1), start, pat_tail, out_off))
+    k = max(base, members.bit_length(), s.stable_from)
+    pat = s.pattern_mask(k)
+    off_class = ((1 << k) - 2) ^ pat
+    tail = -(1 << base)
+    on = members | tail | ~pat if pat_tail else members & pat
+    off_members = members | tail if off_tail else members
+    off_sign = pat_tail if s.tail_in else off_tail
+    off = off_members | ~off_class if off_sign else off_members & off_class
+    return _new(Row, (on, off))
 
 
 def row_contains(s: SParameter, r: Row, n: int) -> bool:
     if n < 1:
         return False
-    if n < r.start:
-        return bool(r.prefix >> n & 1)
-    return r.pat_tail if s.in_pattern(n) else r.off_tail
+    return bool((r.on if s.in_pattern(n) else r.off) >> n & 1)
+
+
+def _row_start(r: Row) -> int:
+    """The least index from which each int of the row equals its sign."""
+    on, off = r
+    return ((on ^ -(on < 0)) | (off ^ -(off < 0))).bit_length() or 1
 
 
 def _row_bits(r: Row, pat: int, k: int) -> int:
-    """The members of r below k, as a mask, given the pattern mask below k."""
-    below = (1 << k) - 1
-    tails = _tails(pat, r.pat_tail, r.off_tail) & (below >> r.start << r.start)
-    return (r.prefix & below) | tails
+    """The members of r below k, as a mask, given the pattern mask below k.
 
-
-def _row_binary(s: SParameter, a: Row, b: Row, op) -> Row:
-    base = max(a.start, b.start)
-    pat = s.pattern_mask(base)
-    members = op(_row_bits(a, pat, base), _row_bits(b, pat, base))
-    return make_row(s, members, base, op(a.pat_tail, b.pat_tail), op(a.off_tail, b.off_tail))
-
-
-# Every stored row is canonical, so the identities below return a canonical
-# row without canonicalizing again.  A row whose two tail flags agree is an
-# int mask of its members: its prefix when it has no tails, and its prefix
-# with every index from its start on, a negative int, when it has both.  The
-# union and the meet of two such rows, and the meet of a finite row with any
-# row, are such masks too, so make_row runs only when a tail of one index
-# class survives.
-
-
-def _mask_row(members: int) -> Row:
-    """The canonical row of a mask of members (bit 0 clear): finite when the
-    mask is not negative, else full from just above its highest clear bit."""
-    if members >= 0:
-        return _new(Row, (members, members.bit_length() or 1, False, False))
-    start = (~(members | 1)).bit_length() or 1
-    return _new(Row, (members & ((1 << start) - 2), start, True, True))
+    ``pat`` is read only for a row whose ints differ in sign: the members
+    are ``on | off`` when both ints are finite parts and ``on & off`` when
+    both are cofinite, so callers may pass 0 for any other row."""
+    on, off = r
+    if (on ^ off) < 0:
+        members = on & pat | off & ~pat
+    else:
+        members = on | off if on >= 0 else on & off
+    return members & ((1 << k) - 2)
 
 
 def row_union(s, a, b):
+    # _binary pads with EMPTY_ROW and FULL_ROW, so the identities return an
+    # operand without building a row
     if a == b or b == EMPTY_ROW or a == FULL_ROW:
         return a
     if a == EMPTY_ROW or b == FULL_ROW:
         return b
-    a_prefix, a_start, a_pat, a_off = a
-    b_prefix, b_start, b_pat, b_off = b
-    if a_pat != a_off or b_pat != b_off:
-        return _row_binary(s, a, b, operator.or_)
-    return _mask_row((a_prefix | -(1 << a_start) if a_pat else a_prefix)
-                     | (b_prefix | -(1 << b_start) if b_pat else b_prefix))
+    return _new(Row, (a[0] | b[0], a[1] | b[1]))
 
 
 def row_intersect(s, a, b):
@@ -158,56 +124,35 @@ def row_intersect(s, a, b):
         return a
     if a == FULL_ROW or b == EMPTY_ROW:
         return b
-    if a.pat_tail != a.off_tail:  # a row whose flags agree, if any, goes first
-        a, b = b, a
-    a_prefix, a_start, a_pat, a_off = a
-    b_prefix, b_start, b_pat, b_off = b
-    if b_pat == b_off:
-        b_members = b_prefix | -(1 << b_start) if b_pat else b_prefix
-    elif a_pat or a_off:
-        return _row_binary(s, a, b, operator.and_)
-    else:
-        # a is finite, so only b's members below a's start count
-        b_members = _row_bits(b, s.pattern_mask(a_start), a_start)
-    return _mask_row((a_prefix | -(1 << a_start) if a_pat else a_prefix) & b_members)
+    return _new(Row, (a[0] & b[0], a[1] & b[1]))
 
 
 def row_complement(s: SParameter, r: Row) -> Row:
-    # flipping the prefix and both tails keeps every index where they differ,
-    # so start stays minimal and the row stays canonical
-    prefix, start, pat_tail, off_tail = r
-    return _new(Row, (prefix ^ ((1 << start) - 2), start, not pat_tail, not off_tail))
-
-
-def row_is_infinite(r: Row) -> bool:
-    return r.pat_tail or r.off_tail
+    return _new(Row, (~r[0], ~r[1]))
 
 
 def row_count(r: Row) -> int | None:
     """Number of members, or None when infinite."""
-    return None if row_is_infinite(r) else r.prefix.bit_count()
+    members = r.on | r.off
+    return None if members < 0 else members.bit_count()
 
 
 def row_min(s: SParameter, r: Row) -> int | None:
-    if r.prefix:
-        return (r.prefix & -r.prefix).bit_length() - 1
-    if not (r.pat_tail or r.off_tail):
-        return None
     # from stable_from on, each class that has a tail there holds one of any
     # two consecutive indices, so the least member lies below k
-    k = max(r.start, s.stable_from) + 2
-    members = _row_bits(r, s.pattern_mask(k), k)
+    k = max(_row_start(r), s.stable_from) + 2
+    members = _row_bits(r, s.pattern_mask(k) if (r.on ^ r.off) < 0 else 0, k)
     return (members & -members).bit_length() - 1 if members else None
 
 
 def row_meets_pattern(s: SParameter, r: Row) -> bool:
     """Whether the row contains some pattern index."""
-    return r.pat_tail or bool(r.prefix & s.pattern_mask(r.start))
+    return r.on != 0
 
 
 def tail_row(s: SParameter, start: int) -> Row:
-    """All indices >= start; canonical as built, as index start - 1 is out."""
-    return _new(Row, (0, max(start, 1), True, True))
+    """All indices >= start."""
+    return make_row(s, 0, start, True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +306,8 @@ def pattern_row(s: SParameter, start: int = 1) -> Row:
 
 @_memoized
 def off_pattern_row(s: SParameter, start: int) -> Row:
-    """Off-pattern indices >= max(start, 2); may canonicalize to empty."""
+    """Off-pattern indices >= max(start, 2); empty when a finite off-pattern
+    class ends below them."""
     return make_row(s, 0, max(start, 2), False, True)
 
 
@@ -423,8 +369,9 @@ def basis(s: SParameter, b: BasisSet) -> SymbolicSet:
 
 
 def basis_a(s, p, m):
-    """A(p,m); the row is canonical as built, since bit m is its top bit."""
-    return SymbolicSet(s, False, False, p, (Row(1 << m, m + 1, False, False),))
+    """A(p,m)."""
+    row = Row(1 << m, 0) if s.in_pattern(m) else Row(0, 1 << m)
+    return SymbolicSet(s, False, False, p, (row,))
 
 
 def basis_srow(s, p, m):
@@ -464,15 +411,15 @@ def basis_u(s, p):
 
 
 def _f_row_image(s: SParameter, r: Row) -> Row:
-    prefix, _, pat_tail, off_tail = r
-    if pat_tail or off_tail:
+    members = r.on | r.off
+    if members < 0:
         return FULL_ROW
-    if not prefix:
+    if not members:
         return EMPTY_ROW
-    # indices 1..t + 1 for the top member t, so start is t + 2; canonical as
-    # built, since bit t + 1 is its top bit
-    start = prefix.bit_length() + 1
-    return _new(Row, ((1 << start) - 2, start, False, False))
+    # indices 1..t + 1 for the top member t
+    end = members.bit_length() + 1
+    pat = s.pattern_mask(end)
+    return _new(Row, (pat, ((1 << end) - 2) ^ pat))
 
 
 def _g_row_image(s: SParameter, r: Row) -> Row:
@@ -495,10 +442,9 @@ def apply_f(x: SymbolicSet) -> SymbolicSet:
     else:
         top_level, top = anchor + len(rows) - 1, rows[-1]
         under = rows[-2] if len(rows) > 1 else FULL_ROW if below_full else EMPTY_ROW
-    # index 1 is off-pattern for every parameter, so a row holds it when its
-    # prefix does or, for a row whose tails start at 1, when its off tail does
-    under_one = under.prefix & 2 if under.start > 1 else under.off_tail
-    top_one = top.prefix & 2 if top.start > 1 else top.off_tail
+    # index 1 is off-pattern for every parameter
+    under_one = under.off & 2
+    top_one = top.off & 2
     out_top = _f_row_image(s, top)
     if under_one:
         out_top = row_union(s, out_top, pattern_row(s))
@@ -546,25 +492,29 @@ def decompose_to_basis(x: SymbolicSet) -> tuple[BasisSet, ...]:
         parts.append(BasisSet("D", x.anchor - 1))
     for offset, row in enumerate(x.rows):
         p = x.anchor + offset
-        for n in iter_bits(row.prefix):
+        on, off = row
+        # the members below start are atoms; from start on, the tails
+        start = _row_start(row)
+        pat = s.pattern_mask(start) if (on ^ off) < 0 else 0
+        for n in iter_bits(_row_bits(row, pat, start)):
             parts.append(BasisSet("A", p, n))
-        if row.pat_tail and row.off_tail:
-            if row.start == 1:
+        if on < 0 and off < 0:
+            if start == 1:
                 parts.append(BasisSet("V", p))
             else:
-                parts.append(BasisSet("S", p, row.start))
-                if s.off_pattern_min(row.start) is not None:
-                    parts.append(BasisSet("Sbar", p, row.start))
-        elif row.pat_tail:
-            parts.append(BasisSet("S", p, row.start))
-        elif row.off_tail:
-            if row.start == 1:
+                parts.append(BasisSet("S", p, start))
+                if s.off_pattern_min(start) is not None:
+                    parts.append(BasisSet("Sbar", p, start))
+        elif on < 0:
+            parts.append(BasisSet("S", p, start))
+        elif off < 0:
+            if start == 1:
                 # the off-pattern tail from 1 contains index 1, which the
                 # Sbar basis sets exclude
                 parts.append(BasisSet("A", p, 1))
                 parts.append(BasisSet("Sbar", p, 2))
             else:
-                parts.append(BasisSet("Sbar", p, row.start))
+                parts.append(BasisSet("Sbar", p, start))
     if x.above_full:
         parts.append(BasisSet("U", x.anchor + len(x.rows)))
     return tuple(sorted(parts, key=_basis_sort_key))
@@ -784,14 +734,14 @@ def validate_canonical(x: SymbolicSet) -> bool:
             raise ValueError("window not minimal")
     elif x.below_full == x.above_full and x.anchor != 0:
         raise ValueError("constant set must have anchor 0")
-    for row in x.rows:
-        if row.prefix >> row.start or row.prefix & 1:
-            raise ValueError("row prefix outside [1, start)")
-        if row.off_tail and not row.pat_tail and not s.off_pattern_infinite():
-            raise ValueError("off-pattern tail flag on a finite tail")
-        if row.pat_tail != row.off_tail and not s.off_pattern_infinite():
-            raise ValueError("mixed tail flags under a finite off-pattern")
-        redone = make_row(s, row.prefix, row.start, row.pat_tail, row.off_tail)
-        if redone != row:
-            raise ValueError(f"row not canonical: {row} vs {redone}")
+    for on, off in x.rows:
+        # each int's bits that differ from its sign lie in its own class
+        on_diff, off_diff = on ^ -(on < 0), off ^ -(off < 0)
+        pat = s.pattern_mask(max(on_diff.bit_length(), off_diff.bit_length()))
+        if on_diff & ~pat:
+            raise ValueError(f"pattern part {on} has a bit outside the pattern")
+        if off_diff & (pat | 1):
+            raise ValueError(f"off-pattern part {off} has a bit in the pattern or at 0")
+        if s.tail_in and (on < 0) != (off < 0):
+            raise ValueError("the two parts differ in sign under an all-in tail")
     return True

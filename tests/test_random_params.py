@@ -74,11 +74,36 @@ def test_operations_stay_canonical(s):
             assert sym.validate_canonical(result)
 
 
-# Reference set operations: the kernel as it was before it walked row tuples
-# by index, combined finite rows as int masks and built its tuples in C.  They
-# read each level through row_at, canonicalize every row operation through
-# _row_binary, take a row's least member from the parameter's own searches
-# and build through the NamedTuple constructors.
+# Reference set operations, independent of the kernel's row encoding.  They
+# read each level through row_at, combine rows as raw member sets below
+# stable_from + 10, rebuild each result row with make_row, take a row's least
+# member from its raw set and build through the NamedTuple constructors.
+
+
+def _raw_row(s, r, top):
+    return {n for n in range(1, top) if sym.row_contains(s, r, n)}
+
+
+def _row_of_raw(s, raw, top):
+    """The row whose members below top are raw, and which keeps from top on
+    the tail of each index class that raw shows at top and top + 1."""
+    even, odd = (top, top + 1) if top % 2 == 0 else (top + 1, top)
+    row = sym.make_row(s, sum(1 << n for n in raw if n < top), top, even in raw, odd in raw)
+    assert _raw_row(s, row, top + 2) == raw
+    return row
+
+
+def ref_top(s):
+    """Every tail of a row that the reference operations meet starts below."""
+    return s.stable_from + 8
+
+
+def ref_raw(s, r):
+    return _raw_row(s, r, ref_top(s) + 2)
+
+
+def ref_row(s, raw):
+    return _row_of_raw(s, raw, ref_top(s))
 
 
 def ref_make_set(s, below_full, above_full, lo, rows):
@@ -109,14 +134,16 @@ def ref_binary(x, y, is_union):
         lo, end = z.anchor, z.anchor + len(z.rows)
     else:
         return ref_make_set(s, below, above, 0, [])
-    rows = [sym._row_binary(s, x.row_at(q), y.row_at(q), op) for q in range(lo, end)]
+    rows = [ref_row(s, op(ref_raw(s, x.row_at(q)), ref_raw(s, y.row_at(q))))
+            for q in range(lo, end)]
     return ref_make_set(s, below, above, lo, rows)
 
 
 def ref_complement(x):
-    rows = [sym.Row(r.prefix ^ ((1 << r.start) - 2), r.start, not r.pat_tail, not r.off_tail)
-            for r in x.rows]
-    return ref_make_set(x.sparam, not x.below_full, not x.above_full, x.anchor, rows)
+    s = x.sparam
+    every = set(range(1, ref_top(s) + 2))
+    rows = [ref_row(s, every - ref_raw(s, r)) for r in x.rows]
+    return ref_make_set(s, not x.below_full, not x.above_full, x.anchor, rows)
 
 
 def ref_apply_f(x):
@@ -126,31 +153,22 @@ def ref_apply_f(x):
     if x.above_full:
         return sym.full_set(s)
     top_level = x.anchor + len(x.rows) - 1 if x.rows else x.anchor - 1
-    top = x.row_at(top_level)
-    if top == sym.EMPTY_ROW:
-        out_top = sym.EMPTY_ROW
-    elif sym.row_is_infinite(top):
-        out_top = sym.FULL_ROW
+    top, end = ref_raw(s, x.row_at(top_level)), ref_top(s) + 2
+    if not top:
+        out_top = set()
+    elif max(top) >= end - 2:  # a row with a tail
+        out_top = set(range(1, end))
     else:
-        n = top.prefix.bit_length() - 1
-        out_top = sym.Row((1 << (n + 2)) - 2, n + 2, False, False)
-    if sym.row_contains(s, x.row_at(top_level - 1), 1):
-        out_top = sym._row_binary(s, out_top, sym.pattern_row(s), operator.or_)
-    out_above = sym.pattern_row(s) if sym.row_contains(s, top, 1) else sym.EMPTY_ROW
-    return ref_make_set(s, True, False, top_level, [out_top, out_above])
+        out_top = set(range(1, max(top) + 2))
+    pattern = {n for n in range(1, end) if s.in_pattern(n)}
+    if 1 in ref_raw(s, x.row_at(top_level - 1)):
+        out_top |= pattern
+    out_above = pattern if 1 in top else set()
+    return ref_make_set(s, True, False, top_level, [ref_row(s, out_top), ref_row(s, out_above)])
 
 
 def ref_row_min(s, r):
-    if r.prefix:
-        return (r.prefix & -r.prefix).bit_length() - 1
-    candidates = []
-    if r.pat_tail:
-        candidates.append(s.pattern_min(r.start))
-    if r.off_tail:
-        off = s.off_pattern_min(r.start)
-        if off is not None:
-            candidates.append(off)
-    return min(candidates) if candidates else None
+    return min(ref_raw(s, r), default=None)
 
 
 def ref_apply_g(x):
@@ -159,14 +177,14 @@ def ref_apply_g(x):
         return x
     if x.below_full:
         return sym.full_set(s)
-    low = x.row_at(x.anchor)
-    out_low = sym.EMPTY_ROW
-    if low != sym.EMPTY_ROW:
-        out_low = sym.Row(0, max(1, ref_row_min(s, low) - 1), True, True)
-    if sym.row_meets_pattern(s, x.row_at(x.anchor + 1)):
-        out_low = sym._row_binary(s, out_low, sym.INDEX_ONE_ROW, operator.or_)
-    out_below = sym.INDEX_ONE_ROW if sym.row_meets_pattern(s, low) else sym.EMPTY_ROW
-    return ref_make_set(s, False, True, x.anchor - 1, [out_below, out_low])
+    low, over = ref_raw(s, x.row_at(x.anchor)), ref_raw(s, x.row_at(x.anchor + 1))
+    out_low = set()
+    if low:
+        out_low = set(range(max(1, ref_row_min(s, x.row_at(x.anchor)) - 1), ref_top(s) + 2))
+    if any(s.in_pattern(n) for n in over):
+        out_low.add(1)
+    out_below = {1} if any(s.in_pattern(n) for n in low) else set()
+    return ref_make_set(s, False, True, x.anchor - 1, [ref_row(s, out_below), ref_row(s, out_low)])
 
 
 def random_finite_element(rng, s, max_index):
@@ -215,20 +233,15 @@ def test_set_kernel_equals_the_reference_operations(s):
             assert sym.validate_canonical(got)
 
 
-def _raw_row(s, r, top):
-    return {n for n in range(1, top) if sym.row_contains(s, r, n)}
-
-
-def _row_kind(r):
-    if r.pat_tail and r.off_tail:
-        return "both tails"
-    return "finite" if not (r.pat_tail or r.off_tail) else "one tail"
+def _row_kind(s, r, top):
+    raw = _raw_row(s, r, top + 2)
+    return ("finite", "one tail", "both tails")[(top in raw) + (top + 1 in raw)]
 
 
 def test_row_shortcuts_match_raw_operations(s):
     # row_union and row_intersect answer the identities with EMPTY_ROW,
-    # FULL_ROW and equal operands without canonicalizing; every result must
-    # still be the canonical row _row_binary builds
+    # FULL_ROW and equal operands without building a row; every result must
+    # still be the canonical row of its raw member set
     def canonical(row):
         return sym.validate_canonical(sym._make_set(s, False, False, 0, [row]))
 
@@ -244,27 +257,27 @@ def test_row_shortcuts_match_raw_operations(s):
         rows.add(sym.make_row(s, members, 1, False, False))
         rows.add(sym.make_row(s, members, rng.randrange(1, top), True, True))
     rows = sorted(rows)
-    every = set(range(1, top))
-    raw = {r: _raw_row(s, r, top) for r in rows}
+    every = set(range(1, top + 2))
+    raw = {r: _raw_row(s, r, top + 2) for r in rows}
     pairs = {}
     for a in rows:
-        assert _raw_row(s, sym.row_complement(s, a), top) == every - raw[a]
+        assert _raw_row(s, sym.row_complement(s, a), top + 2) == every - raw[a]
         for b in rows:
-            kinds = (_row_kind(a), _row_kind(b))
+            kinds = (_row_kind(s, a, top), _row_kind(s, b, top))
             pairs[kinds] = pairs.get(kinds, 0) + 1
             union, meet = sym.row_union(s, a, b), sym.row_intersect(s, a, b)
-            assert _raw_row(s, union, top) == raw[a] | raw[b], (a, b)
-            assert _raw_row(s, meet, top) == raw[a] & raw[b], (a, b)
-            assert union == sym._row_binary(s, a, b, operator.or_), (a, b)
-            assert meet == sym._row_binary(s, a, b, operator.and_), (a, b)
+            assert _raw_row(s, union, top + 2) == raw[a] | raw[b], (a, b)
+            assert _raw_row(s, meet, top + 2) == raw[a] & raw[b], (a, b)
+            assert union == _row_of_raw(s, raw[a] | raw[b], top), (a, b)
+            assert meet == _row_of_raw(s, raw[a] & raw[b], top), (a, b)
             assert canonical(union) and canonical(meet), (a, b)
     for kinds in (("finite", "finite"), ("finite", "both tails"), ("both tails", "finite")):
         assert pairs[kinds] >= 50, kinds
 
 
 def test_rows_built_directly_equal_the_make_row_construction(s):
-    # row_complement, tail_row, _f_row_image and INDEX_ONE_ROW build their
-    # rows without make_row; each must be the row make_row builds
+    # row_complement, _f_row_image and INDEX_ONE_ROW build their rows without
+    # make_row; each must be the row make_row builds from its raw member set
     def canonical(row):
         return sym.validate_canonical(sym._make_set(s, False, False, 0, [row]))
 
@@ -273,20 +286,21 @@ def test_rows_built_directly_equal_the_make_row_construction(s):
     for _ in range(8):
         x, _ = random_element(rng, s, max_index=s.stable_from + 4)
         rows.update(x.rows)
+    top = s.stable_from + 64
+    every = set(range(1, top + 2))
     for r in sorted(rows):
+        raw = _raw_row(s, r, top + 2)
         complement = sym.row_complement(s, r)
-        flipped = r.prefix ^ ((1 << r.start) - 2)
-        assert complement == sym.make_row(s, flipped, r.start, not r.pat_tail, not r.off_tail), r
+        assert complement == _row_of_raw(s, every - raw, top), r
         assert canonical(complement)
         image = sym._f_row_image(s, r)
-        if r != sym.EMPTY_ROW and not sym.row_is_infinite(r):
-            top = r.prefix.bit_length() - 1
-            assert image == sym.make_row(s, (1 << (top + 2)) - 2, top + 2, False, False), r
+        if raw and max(raw) < top:
+            assert image == _row_of_raw(s, set(range(1, max(raw) + 2)), top), r
         assert canonical(image)
     for k in range(1, 61):
-        assert sym.tail_row(s, k) == sym.make_row(s, 0, k, True, True), k
+        assert sym.tail_row(s, k) == _row_of_raw(s, set(range(k, top + 2)), top), k
         assert canonical(sym.tail_row(s, k))
-    assert sym.INDEX_ONE_ROW == sym.make_row(s, 0b10, 2, False, False)
+    assert sym.INDEX_ONE_ROW == _row_of_raw(s, {1}, top)
 
 
 def test_basis_helpers_equal_the_make_row_construction(s):
@@ -466,10 +480,9 @@ def memoized_calls(s, x, y, b):
 
 
 def assert_canonical(s, got):
-    if isinstance(got, sym.SymbolicSet):
-        assert sym.validate_canonical(got)
-    else:
-        assert got == sym.make_row(s, got.prefix, got.start, got.pat_tail, got.off_tail)
+    if isinstance(got, sym.Row):
+        got = sym._make_set(s, False, False, 0, [got])
+    assert sym.validate_canonical(got)
 
 
 def test_memoized_operators_equal_the_uncached_ones(s):

@@ -92,6 +92,19 @@ class TestMember:
 
 
 class TestCanonicalSoundness:
+    def test_validation_rejects_rows_off_the_invariant(self):
+        o = parse_sparam("O")
+        one_row = [(S_EMPTY, sym.INDEX_ONE_ROW), (o, sym.FULL_ROW), (o, sym.Row(-5, -1))]
+        # index 1 in the pattern part, index 2 or bit 0 in the off-pattern
+        # part, and parts of different signs under an all-in tail
+        bad = [(S_EMPTY, sym.Row(0b10, 0)), (S_EMPTY, sym.Row(0, 0b100)),
+               (S_EMPTY, sym.Row(0, 1)), (o, sym.Row(-1, 0)), (o, sym.Row(0, -1))]
+        for s, row in one_row:
+            assert sym.validate_canonical(sym.SymbolicSet(s, False, False, 0, (row,)))
+        for s, row in bad:
+            with pytest.raises(ValueError):
+                sym.validate_canonical(sym.SymbolicSet(s, False, False, 0, (row,)))
+
     def test_membership_matches_raw_definitions(self, family_param):
         _, s = family_param
         rng = random.Random(0xB5)
