@@ -72,7 +72,7 @@ def make_row(s: SParameter, members: int, base: int, pat_tail: bool, off_tail: b
     under an all-in tail, the whole off-pattern class."""
     if base < 1:
         base = 1
-    k = max(base, members.bit_length(), s.stable_from)
+    k = max(base, members.bit_length(), s.stable_from if s.tail_in else 0)
     pat = s.pattern_mask(k)
     off_class = ((1 << k) - 2) ^ pat
     tail = -(1 << base)
@@ -138,10 +138,14 @@ def row_count(r: Row) -> int | None:
 
 
 def row_min(s: SParameter, r: Row) -> int | None:
-    # from stable_from on, each class that has a tail there holds one of any
-    # two consecutive indices, so the least member lies below k
-    k = max(_row_start(r), s.stable_from) + 2
-    members = _row_bits(r, s.pattern_mask(k) if (r.on ^ r.off) < 0 else 0, k)
+    on, off = r
+    if (on ^ off) < 0:
+        # from stable_from on, each class that has a tail there holds one of
+        # any two consecutive indices, so the least member lies below k
+        k = max(_row_start(r), s.stable_from) + 2
+        members = _row_bits(r, s.pattern_mask(k), k)
+    else:
+        members = on | off if on >= 0 else on & off & -2
     return (members & -members).bit_length() - 1 if members else None
 
 
