@@ -7,14 +7,12 @@ from .frames import (
     VertexId,
     TruncationSpec,
     Frame,
-    FiniteTenseAlgebra,
     build_truncation,
     edge_present,
     is_reflexive,
     is_total,
     complex_f,
     complex_g,
-    as_finite_algebra,
     export_dot,
     frame_to_text,
     parse_frame,

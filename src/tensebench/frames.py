@@ -1,10 +1,13 @@
 """Finite frames (directed graphs), truncations of the layered frames, and
 their complex algebras.
 
-The complex algebra of a finite frame is the ground-truth oracle for every
-symbolic computation in this package: the image/preimage operators are read
-straight off the adjacency relation, with no knowledge of the row/level
-structure the symbolic engine exploits.
+A finite tense algebra is the complex algebra of a ``Frame``: its elements
+are vertex masks (bit i for the vertex of ordinal i), its unit is the mask
+of every vertex, and its operators are ``complex_f`` and ``complex_g``.
+That algebra is the ground-truth oracle for every symbolic computation in
+this package: the image/preimage operators are read straight off the
+adjacency relation, with no knowledge of the row/level structure the
+symbolic engine exploits.
 
 What some elements generate in a finite algebra of atom masks, tense or
 relation-type, is found by one routine, ``generated_partition``: it returns
@@ -271,54 +274,6 @@ def complex_f(frame: Frame, mask: int) -> int:
 def complex_g(frame: Frame, mask: int) -> int:
     """All predecessors of the vertices in ``mask`` (the preimage operator)."""
     return _gather(frame._pred, mask)
-
-
-class FiniteTenseAlgebra:
-    """Powerset algebra of a frame's vertex set with image/preimage operators.
-
-    Elements are atom bitmasks.  The operator tables are conjugate by
-    construction (atom j in f({i}) iff atom i in g({j})); this is verified
-    when the algebra is built.
-    """
-
-    def __init__(self, f_atom: tuple[int, ...], g_atom: tuple[int, ...]):
-        n = len(f_atom)
-        if len(g_atom) != n or n == 0:
-            raise ValueError("operator tables must be nonempty and same-length")
-        if _transpose(f_atom) != tuple(g_atom):
-            raise ValueError("operator tables are not conjugate")
-        self.atom_count = n
-        self.f_atom = f_atom
-        self.g_atom = g_atom
-        self.one = (1 << n) - 1
-
-    def f(self, x: int) -> int:
-        return _gather(self.f_atom, x)
-
-    def g(self, x: int) -> int:
-        return _gather(self.g_atom, x)
-
-    def neg(self, x: int) -> int:
-        return self.one ^ x
-
-    def atoms(self) -> tuple[int, ...]:
-        return tuple(1 << i for i in range(self.atom_count))
-
-    def elements(self):
-        return range(self.one + 1)
-
-    def is_total_algebra(self) -> bool:
-        """f(a) | g(a) = 1 for all atoms a; by additivity, for all x != 0."""
-        return all(
-            self.f_atom[i] | self.g_atom[i] == self.one for i in range(self.atom_count)
-        )
-
-
-def as_finite_algebra(frame: Frame) -> FiniteTenseAlgebra:
-    """Complex algebra of the frame, with atoms in canonical vertex order."""
-    if len(frame) == 0:
-        raise ValueError("frame must be nonempty")
-    return FiniteTenseAlgebra(frame._succ, frame._pred)
 
 
 def export_dot(frame: Frame, suppress_loops: bool = False) -> str:

@@ -22,6 +22,7 @@ identical across worker counts.  The frame search is one work item.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from array import array
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 from . import relalg
 from .frames import (
-    CapacityError, Frame, FiniteTenseAlgebra, VertexId, generated_partition, iter_bits,
+    CapacityError, Frame, VertexId, complex_f, complex_g, generated_partition, iter_bits,
 )
 from .parallel import parallel_map
 from .relalg import AtomStructure
@@ -165,19 +166,25 @@ class Classification:
         return self.kind
 
 
-def classify_minimal(alg: FiniteTenseAlgebra) -> Classification:
-    """Whether every element outside {0, 1} generates the whole algebra,
-    that is, whether the partition it generates is every atom on its own.
+def classify_minimal(frame: Frame) -> Classification:
+    """Whether every element outside {0, 1} of the frame's complex algebra
+    generates the whole algebra, that is, whether the partition it
+    generates is every atom on its own.
 
     This is a finite heuristic filter for cover candidates, not a
     theorem-level certificate.
     """
-    if alg.atom_count > SUBALGEBRA_CAP:
-        raise CapacityError(f"{alg.atom_count} atoms exceeds the {SUBALGEBRA_CAP}-atom cap")
-    if alg.atom_count == 1:
+    n = len(frame)
+    if n == 0:
+        raise ValueError("frame must be nonempty")
+    if n > SUBALGEBRA_CAP:
+        raise CapacityError(f"{n} atoms exceeds the {SUBALGEBRA_CAP}-atom cap")
+    if n == 1:
         return Classification("TrivialSize2")
-    for x in range(1, alg.one):
-        if len(generated_partition((x,), alg.one, (alg.f, alg.g))) < alg.atom_count:
+    one = (1 << n) - 1
+    operators = (functools.partial(complex_f, frame), functools.partial(complex_g, frame))
+    for x in range(1, one):
+        if len(generated_partition((x,), one, operators)) < n:
             return Classification("NotMinimal", x)
     return Classification("MinimalCoverCandidate")
 

@@ -18,7 +18,6 @@ module compares both against the finite truncation oracle.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -109,7 +108,7 @@ def _row_bits(r: Row, pat: int, k: int) -> int:
     return members & ((1 << k) - 2)
 
 
-def row_union(s, a, b):
+def row_union(a, b):
     # _binary pads with EMPTY_ROW and FULL_ROW, so the identities return an
     # operand without building a row
     if a == b or b == EMPTY_ROW or a == FULL_ROW:
@@ -119,7 +118,7 @@ def row_union(s, a, b):
     return _new(Row, (a[0] | b[0], a[1] | b[1]))
 
 
-def row_intersect(s, a, b):
+def row_intersect(a, b):
     if a == b or b == FULL_ROW or a == EMPTY_ROW:
         return a
     if a == FULL_ROW or b == EMPTY_ROW:
@@ -127,7 +126,7 @@ def row_intersect(s, a, b):
     return _new(Row, (a[0] & b[0], a[1] & b[1]))
 
 
-def row_complement(s: SParameter, r: Row) -> Row:
+def row_complement(r: Row) -> Row:
     return _new(Row, (~r[0], ~r[1]))
 
 
@@ -149,7 +148,7 @@ def row_min(s: SParameter, r: Row) -> int | None:
     return (members & -members).bit_length() - 1 if members else None
 
 
-def row_meets_pattern(s: SParameter, r: Row) -> bool:
+def row_meets_pattern(r: Row) -> bool:
     """Whether the row contains some pattern index."""
     return r.on != 0
 
@@ -280,7 +279,7 @@ def _binary(x: SymbolicSet, y: SymbolicSet, is_union: bool) -> SymbolicSet:
               + (FULL_ROW if x_above else EMPTY_ROW,) * (end - x_end))
     y_rows = ((FULL_ROW if y_below else EMPTY_ROW,) * (y_anchor - lo) + y_rows
               + (FULL_ROW if y_above else EMPTY_ROW,) * (end - y_end))
-    rows = list(map(row_op, itertools.repeat(s), x_rows, y_rows))
+    rows = list(map(row_op, x_rows, y_rows))
     return _make_set(s, below, above, lo, rows)
 
 
@@ -300,7 +299,7 @@ def complement(x: SymbolicSet) -> SymbolicSet:
     # the adjacent constant rows still do once all three are flipped
     s, below_full, above_full, anchor, rows = x
     return _new(SymbolicSet, (s, not below_full, not above_full, anchor,
-                              tuple([row_complement(s, r) for r in rows])))
+                              tuple([row_complement(r) for r in rows])))
 
 
 @_memoized
@@ -451,7 +450,7 @@ def apply_f(x: SymbolicSet) -> SymbolicSet:
     top_one = top.off & 2
     out_top = _f_row_image(s, top)
     if under_one:
-        out_top = row_union(s, out_top, pattern_row(s))
+        out_top = row_union(out_top, pattern_row(s))
     out_above = pattern_row(s) if top_one else EMPTY_ROW
     return _make_set(s, True, False, top_level, (out_top, out_above))
 
@@ -470,9 +469,9 @@ def apply_g(x: SymbolicSet) -> SymbolicSet:
         low = rows[0]
         over = rows[1] if len(rows) > 1 else FULL_ROW if above_full else EMPTY_ROW
     out_low = _g_row_image(s, low)
-    if row_meets_pattern(s, over):
-        out_low = row_union(s, out_low, INDEX_ONE_ROW)
-    out_below = INDEX_ONE_ROW if row_meets_pattern(s, low) else EMPTY_ROW
+    if row_meets_pattern(over):
+        out_low = row_union(out_low, INDEX_ONE_ROW)
+    out_below = INDEX_ONE_ROW if row_meets_pattern(low) else EMPTY_ROW
     return _make_set(s, False, True, anchor - 1, (out_below, out_low))
 
 

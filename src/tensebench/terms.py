@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import symbolic as sym
-from .frames import FiniteTenseAlgebra
+from .frames import Frame, complex_f, complex_g
 from .sparam import SParameter
 
 
@@ -178,18 +178,18 @@ def nu_steps(n_max: int, var: str = "x") -> list[Term]:
 
 
 class FiniteHandle:
-    """Uniform operations over a finite tense algebra; elements are bitmasks."""
+    """Uniform operations over the complex algebra of a finite frame;
+    elements are vertex masks."""
 
-    kind = "finite"
-
-    def __init__(self, alg: FiniteTenseAlgebra):
-        self.alg = alg
+    def __init__(self, frame: Frame):
+        self.frame = frame
+        self._one = (1 << len(frame)) - 1
 
     def zero(self):
         return 0
 
     def one(self):
-        return self.alg.one
+        return self._one
 
     def join(self, a, b):
         return a | b
@@ -198,13 +198,13 @@ class FiniteHandle:
         return a & b
 
     def neg(self, a):
-        return self.alg.neg(a)
+        return self._one ^ a
 
     def f(self, a):
-        return self.alg.f(a)
+        return complex_f(self.frame, a)
 
     def g(self, a):
-        return self.alg.g(a)
+        return complex_g(self.frame, a)
 
     def eq(self, a, b):
         return a == b
@@ -213,10 +213,10 @@ class FiniteHandle:
         return int(a).bit_count()
 
     def atoms(self):
-        return self.alg.atoms()
+        return tuple(1 << i for i in range(len(self.frame)))
 
     def elements(self):
-        return self.alg.elements()
+        return range(self._one + 1)
 
     def quantify(self, kind, names, subject, body) -> bool:
         """Enumerate the atoms, or every element, for each name in turn
@@ -232,8 +232,6 @@ class FiniteHandle:
 
 class SymbolicHandle:
     """Uniform operations over the generated subalgebra for one parameter."""
-
-    kind = "symbolic"
 
     def __init__(self, s: SParameter):
         self.sparam = s

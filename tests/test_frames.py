@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -9,10 +10,8 @@ from tensebench import search as se
 from tensebench.frames import (
     CapacityError,
     Frame,
-    FiniteTenseAlgebra,
     TruncationSpec,
     VertexId,
-    as_finite_algebra,
     _transpose,
     build_truncation,
     complex_f,
@@ -25,7 +24,7 @@ from tensebench.frames import (
     is_total,
     parse_frame,
 )
-from tensebench.sparam import S_EMPTY, parse_sparam
+from tensebench.sparam import S_EMPTY, SParameter, parse_sparam
 
 
 def v(p, m):
@@ -115,33 +114,47 @@ class TestComplexOperators:
 class TestFiniteAlgebra:
     def test_single_loop_gives_identity_operators(self):
         frame = Frame([v(0, 1)], [(v(0, 1), v(0, 1))])
-        alg = as_finite_algebra(frame)
-        assert alg.one == 1
-        assert alg.f(1) == 1 and alg.g(1) == 1
-        assert alg.f(0) == 0
+        assert complex_f(frame, 1) == 1 and complex_g(frame, 1) == 1
+        assert complex_f(frame, 0) == 0
 
     def test_total_two_clique(self):
         vs = [v(0, 1), v(0, 2)]
         frame = Frame(vs, [(a, b) for a in vs for b in vs])
-        alg = as_finite_algebra(frame)
-        assert alg.f(0b01) == 0b11
+        assert complex_f(frame, 0b01) == 0b11
 
     def test_loopless_vertex(self):
         frame = Frame([v(0, 1)], [])
-        alg = as_finite_algebra(frame)
-        assert alg.f(1) == 0
+        assert complex_f(frame, 1) == 0
 
     def test_conjugacy_of_tables(self, family_param):
+        # build_truncation writes the predecessor masks by hand, beside the
+        # successor masks, instead of transposing them
         _, s = family_param
-        frame = build_truncation(TruncationSpec(-1, 1, 6), s)
-        alg = as_finite_algebra(frame)
-        for i in range(alg.atom_count):
-            for j in range(alg.atom_count):
-                assert bool(alg.f_atom[i] >> j & 1) == bool(alg.g_atom[j] >> i & 1)
+        for spec in (TruncationSpec(-1, 1, 6), TruncationSpec(0, 0, 7),
+                     TruncationSpec(-2, 1, 1), TruncationSpec(3, 3, 1)):
+            frame = build_truncation(spec, s)
+            assert frame._pred == _transpose(frame._succ), spec
+
+    def test_conjugacy_on_random_parameters_and_windows(self):
+        rng = random.Random("conjugacy")
+        for i in range(300):
+            bound = rng.randrange(3, 42, 2)
+            explicit = frozenset(n for n in range(3, bound + 1, 2) if rng.random() < 0.5)
+            s = SParameter(explicit, bound, rng.random() < 0.5)
+            levels = 1 if i % 3 == 0 else rng.randint(2, 4)
+            index_max = 1 if i % 5 == 0 else rng.randint(1, bound + 4)
+            level_lo = rng.randint(-4, 4)
+            spec = TruncationSpec(level_lo, level_lo + levels - 1, index_max)
+            frame = build_truncation(spec, s)
+            assert frame._pred == _transpose(frame._succ), (s, spec)
+            if len(frame) <= 60:
+                for a in frame.vertices:
+                    for b in frame.vertices:
+                        assert frame.has_edge(a, b) == edge_present(s, a, b), (s, spec, a, b)
 
 
-def random_seeds(rng, alg, count):
-    return {rng.randrange(alg.one + 1) for _ in range(count)}
+def random_seeds(rng, one, count):
+    return {rng.randrange(one + 1) for _ in range(count)}
 
 
 class TestClosure:
@@ -152,13 +165,15 @@ class TestClosure:
         rng = random.Random(12)
         for _ in range(200):
             n = rng.randint(1, 5)
-            f_atom = tuple(rng.randrange(1 << n) for _ in range(n))
-            alg = FiniteTenseAlgebra(f_atom, _transpose(f_atom))
-            seeds = random_seeds(rng, alg, rng.randint(1, 3))
-            for unary in ((alg.f, alg.g), (alg.f,), ()):
-                blocks = generated_partition(seeds, alg.one, unary)
+            succ = tuple(rng.randrange(1 << n) for _ in range(n))
+            frame = Frame.from_masks(tuple(v(0, i + 1) for i in range(n)), succ)
+            f, g = functools.partial(complex_f, frame), functools.partial(complex_g, frame)
+            one = (1 << n) - 1
+            seeds = random_seeds(rng, one, rng.randint(1, 3))
+            for unary in ((f, g), (f,), ()):
+                blocks = generated_partition(seeds, one, unary)
                 assert 0 not in blocks and blocks == sorted(blocks)
-                assert block_unions(blocks) == reference_generated(seeds, alg.one, unary)
+                assert block_unions(blocks) == reference_generated(seeds, one, unary)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("mode", ["raw", "closed", "dropped"])
@@ -168,7 +183,7 @@ class TestClosure:
         for seed in range(6):
             alg = ra.expand(seeded_structure(k, seed, mode, 0.3))
             for _ in range(4):
-                seeds = random_seeds(rng, alg, rng.randint(1, 2))
+                seeds = random_seeds(rng, alg.one, rng.randint(1, 2))
                 unary, binary = (alg.converse,), (alg.compose,)
                 blocks = generated_partition(seeds, alg.one, unary, binary)
                 assert (block_unions(blocks)
@@ -194,20 +209,20 @@ class TestConjugacyExhaustive:
         # nine vertices: every pair of subsets, via the operator tables
         s = parse_sparam("{3}")
         frame = build_truncation(TruncationSpec(0, 2, 3), s)
-        alg = as_finite_algebra(frame)
-        images = [alg.f(x) for x in alg.elements()]
-        preimages = [alg.g(y) for y in alg.elements()]
-        for x in alg.elements():
-            for y in alg.elements():
+        elements = range(1 << len(frame))
+        images = [complex_f(frame, x) for x in elements]
+        preimages = [complex_g(frame, y) for y in elements]
+        for x in elements:
+            for y in elements:
                 assert (images[x] & y == 0) == (x & preimages[y] == 0)
 
     def test_totality_at_finite_scale(self):
         # on a total frame, f(X) | g(X) covers everything for nonempty X
         frame = build_truncation(TruncationSpec(0, 2, 3), S_EMPTY)
         assert is_total(frame)
-        alg = as_finite_algebra(frame)
-        for x in range(1, alg.one + 1):
-            assert alg.f(x) | alg.g(x) == alg.one
+        one = (1 << len(frame)) - 1
+        for x in range(1, one + 1):
+            assert complex_f(frame, x) | complex_g(frame, x) == one
 
 
 class TestDot:

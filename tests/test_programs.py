@@ -32,7 +32,7 @@ def reference_formula(fm, handle, env):
         return reference_formula(fm.left, handle, env) or reference_formula(fm.right, handle, env)
     if isinstance(fm, tm.NotF):
         return not reference_formula(fm.arg, handle, env)
-    if handle.kind == "finite":
+    if isinstance(handle, tm.FiniteHandle):
         atoms_only = isinstance(fm, (tm.ExistsAtoms, tm.ForallAtoms))
         domain = handle.atoms() if atoms_only else handle.elements()
         existential = isinstance(fm, (tm.ExistsAtoms, tm.Exists))

@@ -17,7 +17,7 @@ from conftest import MEMOIZED, random_element, raw_basis_member
 from tensebench import audit as au
 from tensebench import symbolic as sym
 from tensebench import terms as tm
-from tensebench.frames import VertexId, as_finite_algebra
+from tensebench.frames import VertexId
 from tensebench.sparam import SParameter
 
 SEED = 20211018
@@ -261,11 +261,11 @@ def test_row_shortcuts_match_raw_operations(s):
     raw = {r: _raw_row(s, r, top + 2) for r in rows}
     pairs = {}
     for a in rows:
-        assert _raw_row(s, sym.row_complement(s, a), top + 2) == every - raw[a]
+        assert _raw_row(s, sym.row_complement(a), top + 2) == every - raw[a]
         for b in rows:
             kinds = (_row_kind(s, a, top), _row_kind(s, b, top))
             pairs[kinds] = pairs.get(kinds, 0) + 1
-            union, meet = sym.row_union(s, a, b), sym.row_intersect(s, a, b)
+            union, meet = sym.row_union(a, b), sym.row_intersect(a, b)
             assert _raw_row(s, union, top + 2) == raw[a] | raw[b], (a, b)
             assert _raw_row(s, meet, top + 2) == raw[a] & raw[b], (a, b)
             assert union == _row_of_raw(s, raw[a] | raw[b], top), (a, b)
@@ -290,7 +290,7 @@ def test_rows_built_directly_equal_the_make_row_construction(s):
     every = set(range(1, top + 2))
     for r in sorted(rows):
         raw = _raw_row(s, r, top + 2)
-        complement = sym.row_complement(s, r)
+        complement = sym.row_complement(r)
         assert complement == _row_of_raw(s, every - raw, top), r
         assert canonical(complement)
         image = sym._f_row_image(s, r)
@@ -399,7 +399,7 @@ def test_whole_terms_agree_with_the_oracle(s):
     # window, compared where modal_depth(t) steps cannot see past its edge
     rng = random.Random(f"{SEED} whole terms {s}")
     outer = au.ORACLE_WINDOW
-    finite = tm.FiniteHandle(as_finite_algebra(au._oracle_frame(s)))
+    finite = tm.FiniteHandle(au._oracle_frame(s))
     symbolic = tm.SymbolicHandle(s)
     edge_atoms = [sym.basis_a(s, p, m) for p in (-8, 8) for m in (1, 2, 46, 47, 48)]
     edge_atoms += [sym.basis_a(s, rng.randint(-8, 8), m) for m in (46, 47, 48)]

@@ -46,7 +46,6 @@ SRC = pathlib.Path(tensebench.__file__).resolve().parent
 # README does not quote, each with the reason it stays
 UNCALLED = {
     "restrict_to_window": "perfbench/trace_layers.py wraps it by name",
-    "as_finite_algebra": "the oracle side of the tests: finite carriers",
     "FiniteHandle": "the oracle side of the tests: evaluation on finite carriers",
     "minimal_point_algebra": "names M_1, M_2 and M_3 for ROADMAP item 1's covers",
     "modal_depth": "bounds the window of ROADMAP item 7's certificate",

@@ -9,7 +9,7 @@ from conftest import reference_generated
 from tensebench import relalg as ra
 from tensebench import search as se
 from tensebench.frames import (
-    CapacityError, Frame, VertexId, as_finite_algebra, is_total, iter_bits,
+    CapacityError, Frame, VertexId, complex_f, complex_g, is_total, iter_bits,
 )
 
 # (raw, iso) of the total-frame search for k = 1..5
@@ -319,7 +319,7 @@ class TestTotalFrames:
 class TestClassify:
     def test_single_loop_is_trivial(self):
         _, frames = se.enumerate_total_frames(1)
-        assert se.classify_minimal(as_finite_algebra(frames[0])).kind == "TrivialSize2"
+        assert se.classify_minimal(frames[0]).kind == "TrivialSize2"
 
     def test_two_clique_classification(self):
         _, frames = se.enumerate_total_frames(2)
@@ -327,7 +327,7 @@ class TestClassify:
             f for f in frames
             if all(f.has_edge(u, v) for u in f.vertices for v in f.vertices)
         ]
-        result = se.classify_minimal(as_finite_algebra(both[0]))
+        result = se.classify_minimal(both[0])
         assert result.kind == "MinimalCoverCandidate"
 
     def test_identity_operators_not_minimal(self):
@@ -335,17 +335,16 @@ class TestClassify:
         # more than 4 elements has proper 1-generated subalgebras
         vs = [VertexId(0, 1), VertexId(0, 2), VertexId(0, 3)]
         frame = Frame(vs, [(v, v) for v in vs])
-        result = se.classify_minimal(as_finite_algebra(frame))
+        result = se.classify_minimal(frame)
         assert result.kind == "NotMinimal"
         assert result.witness is not None
-        alg = as_finite_algebra(frame)
-        closed = reference_generated({result.witness}, alg.one, (alg.f, alg.g))
-        assert len(closed) == 4 < alg.one + 1
+        closed = reference_generated({result.witness}, 0b111, operators(frame))
+        assert len(closed) == 4 < 8
 
     @pytest.mark.parametrize("k", sorted(CLASSIFY_PINS))
     def test_every_total_frame_verdict_and_witness(self, k):
         _, frames = se.enumerate_total_frames(k)
-        got = [str(se.classify_minimal(as_finite_algebra(frame))) for frame in frames]
+        got = [str(se.classify_minimal(frame)) for frame in frames]
         assert got == [
             f"NotMinimal(witness={pin})" if isinstance(pin, int) else pin
             for pin in CLASSIFY_PINS[k]
@@ -355,8 +354,7 @@ class TestClassify:
         _, frames = se.enumerate_total_frames(5)
         assert len(frames) == 582
         for frame in frames:
-            alg = as_finite_algebra(frame)
-            assert se.classify_minimal(alg) == reference_classify(alg)
+            assert se.classify_minimal(frame) == reference_classify(frame)
 
     def test_cap_is_ten_atoms(self):
         # a chain: every vertex sees itself and every later vertex
@@ -366,19 +364,26 @@ class TestClassify:
 
         frame = chain(10)
         assert is_total(frame)
-        alg = as_finite_algebra(frame)
-        assert se.classify_minimal(alg) == reference_classify(alg)
+        assert se.classify_minimal(frame) == reference_classify(frame)
         with pytest.raises(CapacityError, match="11 atoms exceeds the 10-atom cap"):
-            se.classify_minimal(as_finite_algebra(chain(11)))
+            se.classify_minimal(chain(11))
+
+    def test_empty_frame_is_refused(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            se.classify_minimal(Frame([], []))
 
 
-def reference_classify(alg):
+def operators(frame):
+    return (functools.partial(complex_f, frame), functools.partial(complex_g, frame))
+
+
+def reference_classify(frame):
     """`classify_minimal` by closing each element under every operation."""
-    size = alg.one + 1
-    if size == 2:
+    one = (1 << len(frame)) - 1
+    if one == 1:
         return se.Classification("TrivialSize2")
-    for x in range(1, alg.one):
-        if len(reference_generated({x}, alg.one, (alg.f, alg.g))) < size:
+    for x in range(1, one):
+        if len(reference_generated({x}, one, operators(frame))) < one + 1:
             return se.Classification("NotMinimal", x)
     return se.Classification("MinimalCoverCandidate")
 

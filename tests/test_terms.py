@@ -5,7 +5,7 @@ import pytest
 from conftest import random_element
 from tensebench import symbolic as sym
 from tensebench import terms as tm
-from tensebench.frames import Frame, TruncationSpec, VertexId, as_finite_algebra, build_truncation
+from tensebench.frames import Frame, TruncationSpec, VertexId, build_truncation
 from tensebench.sparam import S_EMPTY, parse_sparam
 from test_random_params import PARAMS
 
@@ -15,8 +15,7 @@ def atom(s, p, m):
 
 
 def two_element_identity_algebra():
-    frame = Frame([VertexId(0, 1)], [(VertexId(0, 1), VertexId(0, 1))])
-    return as_finite_algebra(frame)
+    return Frame([VertexId(0, 1)], [(VertexId(0, 1), VertexId(0, 1))])
 
 
 class TestEvalTerm:
@@ -114,11 +113,12 @@ class TestFormulas:
 
     def test_finite_enumeration_matches_patterns(self):
         s = parse_sparam("{3}")
-        frame = build_truncation(TruncationSpec(0, 1, 2), s)
-        handle = tm.FiniteHandle(as_finite_algebra(frame))
-        # the same carrier, marked symbolic so that quantifiers go to the
-        # cardinality classifier instead of enumeration
-        classified = type("Classified", (tm.FiniteHandle,), {"kind": "symbolic"})(handle.alg)
+        frame = build_truncation(TruncationSpec(0, 1, 3), s)
+        handle = tm.FiniteHandle(frame)
+        # the same carrier, with quantifiers decided by the cardinality
+        # classifier instead of by enumeration
+        classified = type("Classified", (tm.FiniteHandle,),
+                          {"quantify": tm.SymbolicHandle.quantify})(frame)
         for fm in (tm.alpha(), tm.phi()):
             for x in handle.elements():
                 assert tm.eval_formula(fm, handle, {"x": x}) == tm.eval_formula(
@@ -324,7 +324,7 @@ class TestQuantifierNames:
         x = sym.union(atom(s, 0, 1), atom(s, 0, 2))
         assert tm.eval_formula(fm, tm.SymbolicHandle(s), {"x": x})
         frame = build_truncation(TruncationSpec(-1, 1, 4), s)
-        finite = tm.FiniteHandle(as_finite_algebra(frame))
+        finite = tm.FiniteHandle(frame)
         assert tm.eval_formula(fm, finite, {"x": frame.mask([VertexId(0, 1), VertexId(0, 2)])})
 
 
@@ -337,7 +337,7 @@ class TestOracleAgreement:
         depth = max(tm.modal_depth(t) for t in suite)
         window = TruncationSpec(-depth - 2, depth + 2, depth + 10)
         frame = build_truncation(window, s, budget=10000)
-        finite = tm.FiniteHandle(as_finite_algebra(frame))
+        finite = tm.FiniteHandle(frame)
         symbolic = tm.SymbolicHandle(s)
         for m in (1, 2):
             x = atom(s, 0, m)
@@ -390,7 +390,7 @@ def random_shared_term(rng, size, names=("x", "y")):
 def random_finite_algebra(rng, k):
     vertices = [VertexId(0, i) for i in range(1, k + 1)]
     edges = [(u, v) for u in vertices for v in vertices if rng.random() < 0.4]
-    return as_finite_algebra(Frame(vertices, edges))
+    return Frame(vertices, edges)
 
 
 class TestCompiledEvaluator:
@@ -450,8 +450,8 @@ class TestCompiledEvaluator:
 
 
 class CountingHandle(tm.FiniteHandle):
-    def __init__(self, alg):
-        super().__init__(alg)
+    def __init__(self, frame):
+        super().__init__(frame)
         self.f_calls = 0
 
     def f(self, a):
